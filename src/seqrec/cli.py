@@ -6,8 +6,7 @@ resolved configuration, input hashes and reported metrics land in a
 manifest.json under --out, and `replay_manifest` re-runs any manifest and
 returns the freshly computed metrics for comparison.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure. NXTPOST_THREADS caps
-internal worker threads (the pipeline is otherwise single-threaded).
+Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,32 +24,22 @@ from .configs import (
     DatasetConfig, EncoderConfig, LossConfig, TrainConfig, VARIANTS,
     from_json_dict, to_json_dict,
 )
-from .dataio import (
-    read_events_jsonl, read_posts_jsonl, write_events_jsonl, write_posts_jsonl,
-)
-from .embeddings import load_embeddings, save_embeddings
+from .dataio import write_events_jsonl, write_posts_jsonl
+from .embeddings import save_embeddings
 from .encoder import load_checkpoint
 from .experiments import staleness_experiment, sweep, temporal_decay_experiment
 from .manifest import RunManifest, new_manifest, sha256_file
-from .metrics import reports_to_csv, reports_to_json, reports_to_table
-from .pipeline import alive_corpus
+from .metrics import knn_hits_at_k, reports_to_csv, reports_to_json, reports_to_table
+from .pipeline import alive_corpus, load_pipeline
 from .post_encoder import (
     PostEncoder, PostTowerConfig, build_coengagement_pairs, train_post_tower,
 )
-from .samples import build_samples, filter_events
 from .serving import ServingSim
 from .tensorio import save_tensors
 from .trainer import UserTower, batch_hits_eval, train
-from .metrics import knn_hits_at_k
 from .world import SECONDS_PER_DAY, generate_world
 
 log = logging.getLogger("seqrec")
-
-
-def thread_cap() -> int:
-    """Worker-thread ceiling from NXTPOST_THREADS (>=1; default 1)."""
-    from .world import _thread_cap
-    return _thread_cap()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,17 +102,14 @@ def _cfgs(resolved: dict):
             resolved["pipeline"])
 
 
-def _load_world(world_dir: Path):
-    posts = read_posts_jsonl(world_dir / "posts.jsonl")
-    events = read_events_jsonl(world_dir / "events.jsonl")
-    man = RunManifest.load(world_dir / "manifest.json")
-    dataset = from_json_dict(DatasetConfig, man.config["dataset"])
-    return posts, events, dataset, man.seed
+def _world_inputs(world_dir: Path, *extra) -> dict:
+    """sha256 of the world's posts and events plus any extra input files."""
+    paths = [world_dir / "posts.jsonl", world_dir / "events.jsonl", *extra]
+    return {str(p): sha256_file(p) for p in paths}
 
 
-def _world_inputs(world_dir: Path) -> dict:
-    return {str(world_dir / name): sha256_file(world_dir / name)
-            for name in ("posts.jsonl", "events.jsonl")}
+def _embeddings_path(world_dir: Path, embeddings_path) -> Path:
+    return Path(embeddings_path) if embeddings_path else world_dir / "embeddings.nxtp"
 
 
 # ---------------------------------------------------------------------------
@@ -147,50 +132,30 @@ def run_gen_data(resolved: dict, out: Path) -> tuple[dict, dict, list]:
 
 
 def run_train_post_tower(resolved: dict, out: Path, world_dir: Path) -> tuple[dict, dict, list]:
-    dataset, _, _, train_cfg, pipe = _cfgs(resolved)
-    posts, events, dataset_w, _ = _load_world(world_dir)
-    events = filter_events(events, pipe["min_interactions"], pipe["drop_integrity"], posts)
-    pairs = build_coengagement_pairs(events)
-    tcfg = PostTowerConfig(channel_dim=dataset_w.channel_dim, seed=train_cfg.seed)
-    params, losses = train_post_tower(pairs, posts, dataset_w, tcfg)
+    data = load_pipeline(world_dir, resolved)
+    dataset_w = data.bundle.config
+    pairs = build_coengagement_pairs(data.events)
+    tcfg = PostTowerConfig(channel_dim=dataset_w.channel_dim, seed=resolved["train"]["seed"])
+    params, losses = train_post_tower(pairs, data.posts, dataset_w, tcfg)
     save_tensors(out / "post_tower.ckpt", params,
                  meta={"tower": dataclasses.asdict(tcfg)})
     penc = PostEncoder("trained", dataset_w, tower_cfg=tcfg, params=params)
-    save_embeddings(out / "embeddings.nxtp", penc.encode_all(posts))
+    save_embeddings(out / "embeddings.nxtp", penc.encode_all(data.posts))
     metrics = {"n_pairs": len(pairs), "first_loss": losses[0], "last_loss": losses[-1]}
     return metrics, _world_inputs(world_dir), \
         [str(out / "post_tower.ckpt"), str(out / "embeddings.nxtp")]
 
 
-def _prepare_from_dir(resolved: dict, world_dir: Path, embeddings_path=None):
-    _, enc_cfg, loss_cfg, train_cfg, pipe = _cfgs(resolved)
-    posts, events, dataset, world_seed = _load_world(world_dir)
-    events = filter_events(events, pipe["min_interactions"], pipe["drop_integrity"], posts)
-    emb_path = Path(embeddings_path) if embeddings_path else world_dir / "embeddings.nxtp"
-    embeddings = load_embeddings(emb_path)
-    train_s, eval_s = build_samples(
-        events, L_max=enc_cfg.max_seq_len, m=loss_cfg.m,
-        eval_holdout_days=pipe["eval_holdout_days"],
-        stride=train_cfg.sample_stride,
-        max_train_per_user=train_cfg.max_train_samples_per_user,
-        target_window_days=pipe.get("target_window_days"))
-    surfaces = {name: i for i, name in enumerate(dataset.surfaces)}
-    return (posts, events, dataset, world_seed, embeddings, train_s, eval_s,
-            surfaces, emb_path, enc_cfg, loss_cfg, train_cfg, pipe)
-
-
 def run_train(resolved: dict, out: Path, world_dir: Path, embeddings_path=None):
-    (posts, events, dataset, world_seed, embeddings, train_s, eval_s, surfaces,
-     emb_path, enc_cfg, loss_cfg, train_cfg, pipe) = \
-        _prepare_from_dir(resolved, world_dir, embeddings_path)
-    tower, report = train(train_s, eval_s, embeddings, enc_cfg, loss_cfg,
-                          train_cfg, surfaces, checkpoint_path=out / "checkpoint.ckpt")
+    _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
+    data = load_pipeline(world_dir, resolved, embeddings_path)
+    tower, report = train(data.train, data.eval, data.embeddings, enc_cfg, loss_cfg,
+                          train_cfg, data.surfaces, checkpoint_path=out / "checkpoint.ckpt")
     report.save(out / "report.json")
     metrics = {"final_hits1": report.final_hits1, "final_hits10": report.final_hits10,
                "n_train_samples": report.n_train_samples,
                "final_loss": report.losses[-1] if report.losses else None}
-    inputs = _world_inputs(world_dir)
-    inputs[str(emb_path)] = sha256_file(emb_path)
+    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path))
     return metrics, inputs, [str(out / "checkpoint.ckpt"), str(out / "report.json")]
 
 
@@ -201,51 +166,36 @@ def _tower_from_checkpoint(ckpt_path, surfaces):
 
 def run_eval(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
              embeddings_path=None, k: int = 10):
-    (posts, events, dataset, world_seed, embeddings, train_s, eval_s, surfaces,
-     emb_path, enc_cfg, loss_cfg, train_cfg, pipe) = \
-        _prepare_from_dir(resolved, world_dir, embeddings_path)
-    tower = _tower_from_checkpoint(ckpt, surfaces)
-    h1, h10, n = batch_hits_eval(tower, eval_s, embeddings, train_cfg.batch_size)
-    eval_day = (max(e.ts for e in events) // SECONDS_PER_DAY + 1) - pipe["eval_holdout_days"]
+    data = load_pipeline(world_dir, resolved, embeddings_path)
+    tower = _tower_from_checkpoint(ckpt, data.surfaces)
+    h1, h10, n = batch_hits_eval(tower, data.eval, data.embeddings,
+                                 resolved["train"]["batch_size"])
+    eval_day = data.holdout_start_ts // SECONDS_PER_DAY
     corpus_ids, corpus_vecs = alive_corpus(
-        posts, embeddings, eval_day, eval_day + pipe["eval_holdout_days"] - 1)
-    usable = [s for s in eval_s if s.long_targets and
+        data.posts, data.embeddings, eval_day, eval_day + data.eval_holdout_days - 1)
+    usable = [s for s in data.eval if s.long_targets and
               (s.history or tower.enc_cfg.use_cls)]
-    user_vecs = tower.eval_user_vectors(usable, embeddings)
+    user_vecs = tower.eval_user_vectors(usable, data.embeddings)
     knn = knn_hits_at_k(user_vecs, [s.long_targets for s in usable],
                         corpus_ids, corpus_vecs, k)
     knn.slice = {"corpus": len(corpus_ids)}
     reports_to_json([knn], out / "eval_report.json")
     metrics = {"batch_hits1": h1, "batch_hits10": h10, "batch_n": n,
                f"knn_hits{k}": knn.value, "knn_n": knn.n_queries}
-    inputs = _world_inputs(world_dir)
-    inputs[str(emb_path)] = sha256_file(emb_path)
-    inputs[str(ckpt)] = sha256_file(ckpt)
+    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path), ckpt)
     return metrics, inputs, [str(out / "eval_report.json")]
 
 
 def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
                    ckpt=None, embeddings_path=None, max_days: int = 6,
                    horizon_days: int = 7):
-    (posts, events, dataset, world_seed, embeddings, train_s, eval_s, surfaces,
-     emb_path, enc_cfg, loss_cfg, train_cfg, pipe) = \
-        _prepare_from_dir(resolved, world_dir, embeddings_path)
-    from .pipeline import PipelineData
-    from .world import WorldBundle
-    horizon_day = max(e.ts for e in events) // SECONDS_PER_DAY + 1
-    data = PipelineData(
-        bundle=WorldBundle(config=dataset, seed=world_seed, posts=posts,
-                           users=[], events=events),
-        events=events, embeddings=embeddings, post_encoder=None,
-        train=train_s, eval=eval_s, surfaces=surfaces,
-        holdout_start_ts=(horizon_day - pipe["eval_holdout_days"]) * SECONDS_PER_DAY,
-        eval_holdout_days=pipe["eval_holdout_days"])
-    inputs = _world_inputs(world_dir)
-    inputs[str(emb_path)] = sha256_file(emb_path)
+    _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
+    data = load_pipeline(world_dir, resolved, embeddings_path)
+    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path))
     if which == "staleness":
         if ckpt is None:
             raise SystemExit1("experiment staleness requires --checkpoint")
-        tower = _tower_from_checkpoint(ckpt, surfaces)
+        tower = _tower_from_checkpoint(ckpt, data.surfaces)
         inputs[str(ckpt)] = sha256_file(ckpt)
         reports = staleness_experiment(tower, data, max_stale_days=max_days)
         reports_to_json(reports, out / "staleness.json")
@@ -273,23 +223,20 @@ def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
 def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
                   days: int, queries_per_day: int = 5, k: int = 10,
                   threshold: float = -1.0):
-    (posts, events, dataset, world_seed, embeddings, train_s, eval_s, surfaces,
-     emb_path, enc_cfg, loss_cfg, train_cfg, pipe) = \
-        _prepare_from_dir(resolved, world_dir)
-    params, ck_cfg, extra = load_checkpoint(ckpt)
-    penc = PostEncoder("oracle", dataset, oracle_sigma=pipe["oracle_sigma"],
-                       oracle_seed=world_seed)
-    sim = ServingSim(posts=posts, params=params, enc_cfg=ck_cfg,
-                     post_encoder=penc, surfaces=surfaces)
-    horizon_day = max(e.ts for e in events) // SECONDS_PER_DAY + 1
+    data = load_pipeline(world_dir, resolved)
+    params, ck_cfg, _ = load_checkpoint(ckpt)
+    sim = ServingSim(posts=data.posts, params=params, enc_cfg=ck_cfg,
+                     post_encoder=data.post_encoder, surfaces=data.surfaces)
+    horizon_day = data.holdout_start_ts // SECONDS_PER_DAY + data.eval_holdout_days
     start = max(1, horizon_day - days)
     refreshed_total = served = 0
     work_corpus, work_secs = [], []
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(world_seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(data.bundle.seed)))
     for day in range(start, horizon_day):
         sim.bootstrap_posts(day)
-        refreshed_total += sim.refresh_users(events, day)
-        candidates = sorted({e.user_id for e in events if e.ts < day * SECONDS_PER_DAY})
+        refreshed_total += sim.refresh_users(data.events, day)
+        candidates = sorted({e.user_id for e in data.events
+                             if e.ts < day * SECONDS_PER_DAY})
         if candidates:
             for uid in rng.choice(candidates, size=min(queries_per_day, len(candidates)),
                                   replace=False):
@@ -304,34 +251,20 @@ def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
                "user_snapshot": sim.user_store.snapshot_id,
                "mean_query_corpus": float(np.mean(work_corpus)) if work_corpus else 0.0,
                "mean_query_seconds": float(np.mean(work_secs)) if work_secs else 0.0}
-    inputs = _world_inputs(world_dir)
-    inputs[str(ckpt)] = sha256_file(ckpt)
-    return metrics, inputs, [str(out / "queries.jsonl")]
+    return metrics, _world_inputs(world_dir, ckpt), [str(out / "queries.jsonl")]
 
 
 def run_sweep(resolved: dict, out: Path, world_dir: Path, axis: str,
               values: list, seeds: list):
-    (posts, events, dataset, world_seed, embeddings, train_s, eval_s, surfaces,
-     emb_path, enc_cfg, loss_cfg, train_cfg, pipe) = \
-        _prepare_from_dir(resolved, world_dir)
-    from .pipeline import PipelineData
-    from .world import WorldBundle
-    horizon_day = max(e.ts for e in events) // SECONDS_PER_DAY + 1
-    data = PipelineData(
-        bundle=WorldBundle(config=dataset, seed=world_seed, posts=posts,
-                           users=[], events=events),
-        events=events, embeddings=embeddings, post_encoder=None,
-        train=train_s, eval=eval_s, surfaces=surfaces,
-        holdout_start_ts=(horizon_day - pipe["eval_holdout_days"]) * SECONDS_PER_DAY,
-        eval_holdout_days=pipe["eval_holdout_days"])
+    _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
+    data = load_pipeline(world_dir, resolved)
     reports = sweep(axis, values, data, enc_cfg, loss_cfg, train_cfg,
                     seeds=tuple(seeds))
     reports_to_json(reports, out / "sweep.json")
     reports_to_csv(reports, out / "sweep.csv")
     print(reports_to_table(reports))
     metrics = {f"hits1_{axis}_{r.slice[axis]}": r.value for r in reports}
-    inputs = _world_inputs(world_dir)
-    return metrics, inputs, [str(out / "sweep.json"), str(out / "sweep.csv")]
+    return metrics, _world_inputs(world_dir), [str(out / "sweep.json"), str(out / "sweep.csv")]
 
 
 # ---------------------------------------------------------------------------

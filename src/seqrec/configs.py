@@ -1,4 +1,4 @@
-"""Configuration dataclasses with validation, JSON round-trip and flag overrides.
+"""Configuration dataclasses with validation and JSON round-trip.
 
 Precedence when resolving a run: CLI flag > JSON config file > dataclass default.
 """
@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 DEFAULT_SURFACES = ("feed", "groups_tab", "search")
@@ -209,15 +209,3 @@ def from_json_dict(cls, data: dict):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     return cls(**data)
-
-
-def load_json_config(cls, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(cls, json.load(fh))
-
-
-def apply_overrides(cfg, overrides: dict[str, Any]):
-    """Return a copy of cfg with the given field=value overrides applied."""
-    if not overrides:
-        return cfg
-    return dataclasses.replace(cfg, **overrides)

@@ -9,19 +9,11 @@ arithmetic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"NXTP"
 _HEADER = struct.Struct("<4sIII")
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    post_id: int
-    vector: np.ndarray
-    version: int
 
 
 class EmbeddingSet:
@@ -61,9 +53,6 @@ class EmbeddingSet:
         except KeyError:
             raise KeyError(f"no embedding for post id {post_id}") from None
         return self.vectors[row].astype(np.float64)
-
-    def record(self, post_id: int) -> EmbeddingRecord:
-        return EmbeddingRecord(int(post_id), self.vector(post_id), self.version)
 
     def gather(self, post_ids) -> np.ndarray:
         """Float64 matrix of embeddings in the order of post_ids."""

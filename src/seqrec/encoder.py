@@ -33,7 +33,7 @@ from . import tensorio
 from .configs import EncoderConfig
 
 __all__ = [
-    "SequenceInput", "init_params", "assemble_input", "assemble_batch_inputs",
+    "init_params", "assemble_batch_inputs",
     "encode_batch", "backward_batch", "encode_sequence", "encode_user_vectors",
     "causal_mask", "save_checkpoint", "load_checkpoint", "quantize_params",
 ]
@@ -81,18 +81,6 @@ def init_params(config: EncoderConfig, seed: int) -> dict:
     if config.pooling == "attention":
         params["pool_w"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=d)
     return params
-
-
-@dataclass(eq=False)
-class SequenceInput:
-    """Assembled single-sequence input (position 0 is CLS when enabled)."""
-
-    token_vectors: np.ndarray      # (L', d_model)
-    position_ids: np.ndarray       # (L',)
-    action_ids: np.ndarray         # (L',)
-    surface_ids: np.ndarray        # (L',)
-    rel_time: np.ndarray           # (L',) log(1 + cutoff - ts), 0 for CLS
-    pad_mask: np.ndarray           # (L',) bool, True = real token
 
 
 @dataclass(eq=False)
@@ -192,22 +180,6 @@ def assembly_backward(asm: BatchAssembly, d_tokens: np.ndarray, grads: dict) -> 
         d_cls = d_tokens[asm.is_cls].sum(axis=0)
         grads["cls"] += d_cls
         grads["pos_table"][0] += d_cls
-
-
-def assemble_input(sample, embeddings, params: dict, config: EncoderConfig,
-                   surfaces: dict | None = None) -> SequenceInput:
-    """Single-sample input assembly (CLS at position 0, action/surface null ids)."""
-    asm = assemble_batch_inputs([sample], embeddings, params, config, surfaces)
-    L = int(asm.lengths[0])
-    rel = asm.tp_in[0, :L, -1] * TIME_LOG_SCALE
-    return SequenceInput(
-        token_vectors=asm.tokens[0, :L],
-        position_ids=asm.pos_ids[0, :L],
-        action_ids=asm.act_ids[0, :L],
-        surface_ids=asm.surf_ids[0, :L],
-        rel_time=rel,
-        pad_mask=asm.valid[0, :L],
-    )
 
 
 def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,

@@ -11,20 +11,11 @@ import numpy as np
 from .configs import EncoderConfig, LossConfig, TrainConfig
 from .metrics import EvalReport
 from .pipeline import PipelineData, alive_corpus
-from .samples import HistoryItem, SequenceSample
+from .samples import HistoryItem, SequenceSample, events_by_user
 from .trainer import UserTower, train
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
-
-
-def _per_user_events(events: list) -> dict:
-    per_user: dict[int, list] = {}
-    for e in events:
-        per_user.setdefault(e.user_id, []).append(e)
-    for stream in per_user.values():
-        stream.sort(key=lambda e: e.ts)
-    return per_user
 
 
 def _history_sample(uid: int, stream: list, cutoff_ts: int, max_len: int):
@@ -71,7 +62,7 @@ def staleness_experiment(tower: UserTower, data: PipelineData,
     """
     eval_day = data.holdout_start_ts // SECONDS_PER_DAY
     horizon = eval_day + data.eval_holdout_days
-    per_user = _per_user_events(data.events)
+    per_user = events_by_user(data.events)
     targets = {s.user_id: s.long_targets[:m_eval] for s in data.eval if s.long_targets}
 
     deepest = (eval_day - max_stale_days) * SECONDS_PER_DAY
@@ -115,7 +106,7 @@ def temporal_decay_experiment(data: PipelineData, enc_cfg: EncoderConfig,
     if data.eval_holdout_days < horizon_days:
         raise ValueError(f"need a holdout of >= {horizon_days} days")
     eval_day = data.holdout_start_ts // SECONDS_PER_DAY
-    per_user = _per_user_events(data.events)
+    per_user = events_by_user(data.events)
 
     day_targets: list[dict] = []
     for h in range(horizon_days):
@@ -184,7 +175,7 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
     from .coldstart import PopularityIndex, backfill_history, user_user_similarity
 
     cutoff = data.holdout_start_ts
-    per_user = _per_user_events(data.events)
+    per_user = events_by_user(data.events)
     profiles = {u.user_id: u for u in data.users}
     eval_day = cutoff // SECONDS_PER_DAY
     horizon = eval_day + data.eval_holdout_days

@@ -36,6 +36,16 @@ class EvalReport:
         return d
 
 
+def diagonal_ranks(user_vecs: np.ndarray, post_vecs: np.ndarray) -> np.ndarray:
+    """Per row, how many scores are strictly greater than the diagonal one.
+
+    This is the 0-based rank of each row's positive with ties broken in its
+    favour: the row is a Hits@k hit exactly when its rank is below k.
+    """
+    scores = user_vecs @ post_vecs.T
+    return (scores > np.diag(scores)[:, None]).sum(axis=1)
+
+
 def batch_hits_at_k(user_vecs: np.ndarray, post_vecs: np.ndarray, k: int) -> float:
     """Fraction of rows whose diagonal score is within the top k of the row.
 
@@ -47,10 +57,7 @@ def batch_hits_at_k(user_vecs: np.ndarray, post_vecs: np.ndarray, k: int) -> flo
         raise ValueError("user and post matrices must both be (B, D)")
     if k >= b:
         log.warning("batch_hits_at_k: K=%d >= B=%d makes the metric trivially 1", k, b)
-    scores = user_vecs @ post_vecs.T
-    diag = np.diag(scores)
-    greater = (scores > diag[:, None]).sum(axis=1)
-    return float((greater < k).sum()) / b
+    return float((diagonal_ranks(user_vecs, post_vecs) < k).sum()) / b
 
 
 def knn_top_ids(query_vec: np.ndarray, corpus_ids: np.ndarray,

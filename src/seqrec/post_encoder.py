@@ -22,65 +22,10 @@ import numpy as np
 from .configs import DatasetConfig
 from .embeddings import EmbeddingSet
 from .optim import Adam
+from .samples import events_by_user
 from .world import Post, SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# standalone fusion operations
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SharedMlp:
-    """Two-layer map x -> relu(x W1 + b1) W2 + b2, shared across set elements."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
-
-
-def deep_sets_fuse(images: list, mlp: SharedMlp) -> np.ndarray:
-    """Permutation-invariant mean of mlp(x) over the image set.
-
-    The empty set maps to the zero vector. All images must share one dimension.
-    Summation runs in a value-canonical order, so permuted inputs produce
-    bit-identical outputs, not merely close ones.
-    """
-    out_dim = mlp.w2.shape[1]
-    if not images:
-        return np.zeros(out_dim)
-    dims = {np.asarray(x).shape for x in images}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
-        raise ValueError(f"image vectors disagree in shape: {sorted(dims)}")
-    stacked = np.stack([np.asarray(x, dtype=np.float64) for x in images])
-    mapped = mlp.apply(stacked)
-    order = np.lexsort(mapped.T[::-1])
-    return mapped[order].mean(axis=0)
-
-
-def attention_fuse(channels: list, proj_w: np.ndarray, proj_b: np.ndarray):
-    """Blend N same-dimension channel vectors with learned softmax weights.
-
-    weights = softmax(concat(channels) @ proj_w + proj_b); output is the
-    weight-averaged channel vector. Returns (fused, weights).
-    """
-    if not channels:
-        raise ValueError("attention_fuse requires at least one channel")
-    phis = np.stack([np.asarray(c, dtype=np.float64) for c in channels])  # (N, F)
-    n, f = phis.shape
-    if proj_w.shape != (n * f, n) or proj_b.shape != (n,):
-        raise ValueError(f"projection shapes {proj_w.shape}/{proj_b.shape} do not match "
-                         f"{n} channels of dim {f}")
-    logits = phis.reshape(-1) @ proj_w + proj_b
-    logits = logits - logits.max()
-    w = np.exp(logits)
-    w = w / w.sum()
-    return w @ phis, w
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +200,6 @@ class PostEncoder:
         v = post.topic + self.oracle_sigma * noise
         return v / np.linalg.norm(v)
 
-    def encode_post(self, post: Post, version: int = 1):
-        """Embedding record (id, unit vector, version) for a single post."""
-        from .embeddings import EmbeddingRecord
-        return EmbeddingRecord(int(post.post_id), self.encode_one(post), int(version))
-
     def encode_one(self, post: Post) -> np.ndarray:
         """Unit-norm float32-canonical embedding for a single post."""
         if self.mode == "oracle":
@@ -293,12 +233,10 @@ def build_coengagement_pairs(events: list, window_days: int = 7,
                              max_pairs_per_user: int = 50) -> list:
     """(post_a, post_b) pairs engaged by the same user within window_days."""
     window = window_days * SECONDS_PER_DAY
-    per_user: dict[int, list] = {}
-    for e in events:
-        per_user.setdefault(e.user_id, []).append(e)
+    per_user = events_by_user(events)
     pairs = []
     for uid in sorted(per_user):
-        stream = sorted(per_user[uid], key=lambda e: e.ts)
+        stream = per_user[uid]
         made = 0
         for a, b in zip(stream, stream[1:]):
             if b.ts - a.ts <= window and a.post_id != b.post_id:

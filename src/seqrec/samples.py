@@ -74,13 +74,28 @@ def filter_events(events: list, min_interactions: int = 2,
     return kept
 
 
-def _events_by_user(events: list) -> dict:
+def events_by_user(events: list) -> dict:
+    """user id -> that user's events in time order.
+
+    The sort is stable, so events sharing a timestamp keep their input order.
+    """
     per_user: dict[int, list] = {}
     for e in events:
         per_user.setdefault(e.user_id, []).append(e)
     for stream in per_user.values():
         stream.sort(key=lambda e: e.ts)
     return per_user
+
+
+def holdout_start_ts(events: list, eval_holdout_days: int) -> int:
+    """First second of the eval holdout, the final eval_holdout_days whole days
+    of the stream; the last of them is the day of the last event.
+
+    Sample cutting, offline eval, the experiments and the serving horizon all
+    take their time boundaries from here, on the filtered event stream.
+    """
+    horizon_day = max((e.ts for e in events), default=0) // SECONDS_PER_DAY + 1
+    return (horizon_day - eval_holdout_days) * SECONDS_PER_DAY
 
 
 def _history_items(stream: list) -> list:
@@ -120,24 +135,23 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
     if not events:
         return [], []
     stride = stride or m
-    horizon_day = max(e.ts for e in events) // SECONDS_PER_DAY + 1
-    holdout_start_ts = (horizon_day - eval_holdout_days) * SECONDS_PER_DAY
+    holdout_ts = holdout_start_ts(events, eval_holdout_days)
     window_secs = None if target_window_days is None else target_window_days * SECONDS_PER_DAY
 
     train: list[SequenceSample] = []
     eval_: list[SequenceSample] = []
-    for uid, stream in sorted(_events_by_user(events).items()):
-        past = [e for e in stream if e.ts < holdout_start_ts]
-        future = [e for e in stream if e.ts >= holdout_start_ts]
+    for uid, stream in sorted(events_by_user(events).items()):
+        past = [e for e in stream if e.ts < holdout_ts]
+        future = [e for e in stream if e.ts >= holdout_ts]
 
         if past and future:
             hist = _history_items(past[-L_max:])
             hist_ids = {h.post_id for h in hist}
             tgt_ids, tgt_ts = _collect_targets(
                 future, hist_ids, m,
-                None if window_secs is None else holdout_start_ts + window_secs)
+                None if window_secs is None else holdout_ts + window_secs)
             if tgt_ids:
-                eval_.append(SequenceSample(uid, hist, tgt_ids, holdout_start_ts, tgt_ts))
+                eval_.append(SequenceSample(uid, hist, tgt_ids, holdout_ts, tgt_ts))
 
         # Training windows: targets end at `end`, history is everything before
         # the target block. Walk backwards so the freshest windows are kept.
@@ -169,7 +183,7 @@ def action_predictiveness(events: list, embeddings) -> dict:
     sliced by action type. Actions that never occur are omitted."""
     sums: dict[ActionType, float] = {}
     counts: dict[ActionType, int] = {}
-    for uid, stream in _events_by_user(events).items():
+    for uid, stream in events_by_user(events).items():
         for cur, nxt in zip(stream, stream[1:]):
             a = embeddings.vector(cur.post_id)
             b = embeddings.vector(nxt.post_id)

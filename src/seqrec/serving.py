@@ -19,7 +19,7 @@ import numpy as np
 
 from .configs import EncoderConfig
 from .encoder import encode_user_vectors
-from .samples import HistoryItem, SequenceSample
+from .samples import HistoryItem, SequenceSample, events_by_user
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
@@ -146,14 +146,11 @@ class ServingSim:
         """
         cutoff_ts = day * SECONDS_PER_DAY
         post_snap = self.post_store.snapshot()[1]
-        per_user: dict[int, list] = {}
-        for e in events:
-            if e.ts < cutoff_ts:
-                per_user.setdefault(e.user_id, []).append(e)
+        per_user = events_by_user([e for e in events if e.ts < cutoff_ts])
         refreshed = 0
         batch_samples, batch_uids = [], []
         for uid in sorted(per_user):
-            stream = sorted(per_user[uid], key=lambda e: e.ts)
+            stream = per_user[uid]
             last = self._last_refresh_ts.get(uid, -1)
             if stream[-1].ts <= last:
                 continue  # nothing fresh since the previous refresh

@@ -29,6 +29,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .loss import long_term_loss, short_term_loss, total_loss
+from .metrics import diagonal_ranks
 from .optim import Adam, clip_by_global_norm
 from .blocks import l2_normalize, l2_normalize_backward
 
@@ -265,11 +266,9 @@ def batch_hits_eval(tower: UserTower, eval_samples: list, embeddings,
         chunk = usable[lo:lo + batch_size]
         user_vecs = tower.eval_user_vectors(chunk, embeddings)
         pos = embeddings.gather([s.long_targets[0] for s in chunk])
-        scores = user_vecs @ pos.T
-        diag = np.diag(scores)
-        greater = (scores > diag[:, None]).sum(axis=1)
-        hits1 += int((greater < 1).sum())
-        hits10 += int((greater < 10).sum())
+        ranks = diagonal_ranks(user_vecs, pos)
+        hits1 += int((ranks < 1).sum())
+        hits10 += int((ranks < 10).sum())
         total += len(chunk)
     if total == 0:
         return 0.0, 0.0, 0

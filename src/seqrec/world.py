@@ -13,14 +13,13 @@ events with the structure the rest of the pipeline depends on:
   to the user's interests, comment-thread actions on topically distant ones.
 
 Generation is deterministic given (config, seed) and is structured per user:
-every user stream draws from an independent child RNG, so streams are
-generated in parallel (NXTPOST_THREADS) without changing the output. All
-outputs are order-normalized (user_id, then timestamp).
+every user stream draws from an independent child RNG, so no user's stream
+depends on any other's. All outputs are order-normalized (user_id, then
+timestamp).
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +28,6 @@ from .actions import ActionType
 from .configs import DatasetConfig
 
 SECONDS_PER_DAY = 86400
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("NXTPOST_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(eq=False)
@@ -379,27 +371,14 @@ def _build_pass(config: DatasetConfig, seed: int, shares: tuple) -> WorldBundle:
         elig_by_day.append(np.nonzero((created <= day) & (day < dies))[0])
 
     high_dist, low_dist = _action_tables(config)
-    # Independent child seed per user: streams can be generated in parallel
-    # (NXTPOST_THREADS) without changing the output, which is order-normalized.
+    # Independent child seed per user, so each stream depends on its user alone.
     user_seeds = root.spawn(2 + config.users)[2:]
-
-    def one_user(args) -> list:
-        user, ss = args
-        rng_u = np.random.Generator(np.random.PCG64(ss))
-        return _user_stream(config, user, lang_to_code[user.lang], rng_u,
-                            centers, topics, lang_codes, elig_by_day, post_ids,
-                            high_dist, low_dist)
-
-    workers = _thread_cap()
     events = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for stream in pool.map(one_user, zip(users, user_seeds)):
-                events.extend(stream)
-    else:
-        for args in zip(users, user_seeds):
-            events.extend(one_user(args))
+    for user, ss in zip(users, user_seeds):
+        rng_u = np.random.Generator(np.random.PCG64(ss))
+        events.extend(_user_stream(config, user, lang_to_code[user.lang], rng_u,
+                                   centers, topics, lang_codes, elig_by_day,
+                                   post_ids, high_dist, low_dist))
     events.sort(key=lambda e: (e.user_id, e.ts, e.post_id))
     return WorldBundle(config=config, seed=seed, posts=posts, users=users,
                        events=events, topic_centers=centers)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from seqrec.cli import main, replay_manifest, thread_cap
+from seqrec.cli import main, replay_manifest
 from seqrec.manifest import RunManifest
 
 
@@ -162,13 +162,3 @@ class TestSweepCommand:
         assert [r["slice"]["seq_len"] for r in reports] == [4, 8]
         assert all(r["slice"]["secs_per_step"] > 0 for r in reports)
 
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("NXTPOST_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("NXTPOST_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("NXTPOST_THREADS", "junk")
-    assert thread_cap() == 1
-    monkeypatch.setenv("NXTPOST_THREADS", "-3")
-    assert thread_cap() == 1

@@ -4,7 +4,7 @@ import pytest
 from seqrec.actions import NULL_ACTION_ID
 from seqrec.configs import EncoderConfig
 from seqrec.encoder import (
-    assemble_batch_inputs, assemble_input, encode_batch, encode_sequence,
+    assemble_batch_inputs, encode_batch, encode_sequence,
     init_params, load_checkpoint, save_checkpoint,
 )
 from seqrec.samples import HistoryItem, SequenceSample
@@ -25,20 +25,22 @@ def setup():
 
 
 class TestAssembleInput:
+    """Single-sample assembly: a batch of one, position 0 is CLS."""
+
     def test_empty_history_is_cls_only(self, setup):
         cfg, embs, params, _ = setup
         s = SequenceSample(1, [], [7], cutoff_time=1000, target_ts=[1001])
-        si = assemble_input(s, embs, params, cfg, SURFACES)
-        assert si.token_vectors.shape == (1, 8)
-        assert si.action_ids[0] == NULL_ACTION_ID
-        assert si.rel_time[0] == 0.0
-        np.testing.assert_allclose(si.token_vectors[0],
+        asm = assemble_batch_inputs([s], embs, params, cfg, SURFACES)
+        assert asm.tokens.shape == (1, 1, 8)
+        assert asm.act_ids[0, 0] == NULL_ACTION_ID
+        assert asm.tp_in[0, 0, -1] == 0.0  # relative time of CLS
+        np.testing.assert_allclose(asm.tokens[0, 0],
                                    params["cls"] + params["pos_table"][0])
 
     def test_rel_time_monotone_recent_smallest(self, setup):
         cfg, embs, params, samples = setup
-        si = assemble_input(samples[0], embs, params, cfg, SURFACES)
-        rel = si.rel_time[1:]  # skip CLS
+        asm = assemble_batch_inputs([samples[0]], embs, params, cfg, SURFACES)
+        rel = asm.tp_in[0, 1:asm.lengths[0], -1]  # skip CLS
         assert all(rel[i] > rel[i + 1] for i in range(len(rel) - 1))
 
     def test_zero_tables_identity_projection_yields_embedding(self, setup):
@@ -48,23 +50,23 @@ class TestAssembleInput:
             params[key] = np.zeros_like(params[key])
         params["time_w"] = np.zeros_like(params["time_w"])
         params["time_w"][:8, :8] = np.eye(8)  # pass the embedding through, drop rel_time
-        si = assemble_input(samples[1], embs, params, cfg, SURFACES)
+        asm = assemble_batch_inputs([samples[1]], embs, params, cfg, SURFACES)
         hist = samples[1].history[-cfg.max_seq_len:]
         for t, h in enumerate(hist, start=1):
-            np.testing.assert_array_equal(si.token_vectors[t], embs.vector(h.post_id))
+            np.testing.assert_array_equal(asm.tokens[0, t], embs.vector(h.post_id))
 
     def test_missing_embedding_is_hard_error(self, setup):
         cfg, embs, params, _ = setup
         s = SequenceSample(1, [HistoryItem(999, 0, "feed", 10)], [7], 1000, [1001])
         with pytest.raises(KeyError, match="999"):
-            assemble_input(s, embs, params, cfg, SURFACES)
+            assemble_batch_inputs([s], embs, params, cfg, SURFACES)
 
     def test_history_truncated_to_max_seq_len(self, setup):
         cfg, embs, params, _ = setup
         hist = [HistoryItem(i, 0, "feed", 100 + i) for i in range(10)]
         s = SequenceSample(1, hist, [20], 1000, [1001])
-        si = assemble_input(s, embs, params, cfg, SURFACES)
-        assert si.token_vectors.shape[0] == cfg.max_seq_len + 1
+        asm = assemble_batch_inputs([s], embs, params, cfg, SURFACES)
+        assert asm.tokens.shape[1] == cfg.max_seq_len + 1
 
 
 class TestEncodeSequence:

@@ -6,91 +6,136 @@ import pytest
 
 from seqrec.configs import DatasetConfig
 from seqrec.post_encoder import (
-    PostEncoder, PostTowerConfig, SharedMlp, attention_fuse,
-    build_coengagement_pairs, deep_sets_fuse, init_post_tower, train_post_tower,
-    _pair_loss_and_grads, _post_features,
+    PostEncoder, PostTowerConfig, build_coengagement_pairs, init_post_tower,
+    train_post_tower, _pair_loss_and_grads, _post_features, _tower_forward,
 )
-from seqrec.world import build_world
+from seqrec.world import Post, build_world
 
 
-def _mlp(seed=0, d_in=3, d_out=4):
+_SMALL = PostTowerConfig(channel_dim=3, fused_dim=4, image_hidden=5, out_dim=6)
+
+
+def _small_params(seed=0):
+    """Small tower params with non-zero image-MLP biases."""
+    params = init_post_tower(_SMALL, n_langs=1, n_countries=1, seed=seed)
     rng = np.random.default_rng(seed)
-    return SharedMlp(w1=rng.standard_normal((d_in, 5)), b1=rng.standard_normal(5),
-                     w2=rng.standard_normal((5, d_out)), b2=rng.standard_normal(d_out))
+    params["img_b1"] = rng.standard_normal(params["img_b1"].shape)
+    params["img_b2"] = rng.standard_normal(params["img_b2"].shape)
+    return params
+
+
+def _forward(params, image_sets, seed=0):
+    """Tower forward cache for one post per image set, random text channels."""
+    b = len(image_sets)
+    width = max([len(imgs) for imgs in image_sets] + [1])
+    images = np.zeros((b, width, _SMALL.channel_dim))
+    mask = np.zeros((b, width))
+    for r, imgs in enumerate(image_sets):
+        for j, x in enumerate(imgs):
+            images[r, j] = x
+            mask[r, j] = 1.0
+    text = np.random.default_rng(seed).standard_normal((b, _SMALL.channel_dim))
+    idx = np.zeros(b, dtype=np.int64)
+    return _tower_forward(params, text, images, mask, idx, idx)[1]
+
+
+def _image_fusion(params, imgs):
+    return _forward(params, [imgs])["phis"][0, 1]
+
+
+def _image_mlp(params, x):
+    h = np.maximum(x @ params["img_w1"] + params["img_b1"], 0.0)
+    return h @ params["img_w2"] + params["img_b2"]
 
 
 class TestDeepSets:
+    """The tower's image fusion: the mean of one shared MLP over a post's images."""
+
     def test_single_element_is_mlp_output(self):
-        mlp = _mlp()
+        params = _small_params()
         x = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_allclose(deep_sets_fuse([x], mlp), mlp.apply(x[None])[0])
+        np.testing.assert_allclose(_image_fusion(params, [x]), _image_mlp(params, x),
+                                   atol=1e-12)
 
     def test_empty_set_is_zero(self):
-        assert np.all(deep_sets_fuse([], _mlp()) == 0.0)
+        params = _small_params()
+        rng = np.random.default_rng(1)
+        # batched next to a post with images, so the empty one is all padding
+        cache = _forward(params, [[], [rng.standard_normal(3), rng.standard_normal(3)]])
+        assert np.all(cache["phis"][0, 1] == 0.0)
 
     def test_permutation_invariant_up_to_four(self):
-        mlp = _mlp(1)
+        params = _small_params(1)
         rng = np.random.default_rng(2)
         for n in range(2, 5):
             imgs = [rng.standard_normal(3) for _ in range(n)]
-            base = deep_sets_fuse(imgs, mlp)
+            base = _image_fusion(params, imgs)
             for perm in itertools.permutations(range(n)):
-                np.testing.assert_array_equal(
-                    deep_sets_fuse([imgs[i] for i in perm], mlp), base)
+                # the tower sums in input order, so equal up to rounding
+                np.testing.assert_allclose(
+                    _image_fusion(params, [imgs[i] for i in perm]), base, atol=1e-12)
 
     def test_duplicate_equals_single(self):
-        mlp = _mlp(3)
+        params = _small_params(3)
         a = np.array([1.0, 2.0, -0.5])
-        # mean oracle: mean(mlp(a), mlp(a)) == mlp(a)
-        np.testing.assert_allclose(deep_sets_fuse([a, a], mlp),
-                                   deep_sets_fuse([a], mlp), atol=1e-12)
+        np.testing.assert_allclose(_image_fusion(params, [a, a]),
+                                   _image_fusion(params, [a]), atol=1e-12)
 
     def test_mean_oracle_direct(self):
-        mlp = _mlp(4)
+        params = _small_params(4)
         rng = np.random.default_rng(5)
         imgs = [rng.standard_normal(3) for _ in range(3)]
-        expected = np.mean([mlp.apply(x[None])[0] for x in imgs], axis=0)
-        np.testing.assert_allclose(deep_sets_fuse(imgs, mlp), expected, atol=1e-12)
+        expected = np.mean([_image_mlp(params, x) for x in imgs], axis=0)
+        np.testing.assert_allclose(_image_fusion(params, imgs), expected, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="disagree"):
-            deep_sets_fuse([np.zeros(3), np.zeros(4)], _mlp())
+        post = Post(post_id=0, created_at=0, topic=np.ones(2), text_channel=np.zeros(3),
+                    image_channels=[np.zeros(3), np.zeros(4)], lang="en", country="us",
+                    lifetime_days=1, integrity_violating=False)
+        with pytest.raises(ValueError, match="image dim"):
+            _post_features([post], _SMALL, ("en",), ("us",))
 
 
 class TestAttentionFuse:
+    """The tower's channel fusion: softmax weights over the text, image and
+    attribute vectors, logits = concat(channels) @ fuse_w + fuse_b."""
+
+    @staticmethod
+    def _fuse(fuse_b, seed=0):
+        params = _small_params(seed)
+        params["fuse_w"] = np.zeros_like(params["fuse_w"])
+        params["fuse_b"] = np.asarray(fuse_b, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        return _forward(params, [[rng.standard_normal(3)]], seed)
+
     def test_single_channel_weight_one(self):
-        phi = np.array([1.0, 2.0])
-        f, w = attention_fuse([phi], np.zeros((2, 1)), np.zeros(1))
-        assert w.tolist() == [1.0]
-        np.testing.assert_array_equal(f, phi)
+        cache = self._fuse([0.0, -np.inf, -np.inf])
+        assert cache["w"][0].tolist() == [1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(cache["fused"][0], cache["phis"][0, 0])
 
     def test_zero_projection_uniform(self):
-        chans = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([2.0, 2.0])]
-        f, w = attention_fuse(chans, np.zeros((6, 3)), np.zeros(3))
-        np.testing.assert_allclose(w, 1.0 / 3, atol=1e-12)
-        np.testing.assert_allclose(f, np.mean(chans, axis=0), atol=1e-12)
+        cache = self._fuse([0.0, 0.0, 0.0])
+        np.testing.assert_allclose(cache["w"][0], 1.0 / 3, atol=1e-12)
+        np.testing.assert_allclose(cache["fused"][0], cache["phis"][0].mean(axis=0),
+                                   atol=1e-12)
 
     def test_ln3_zero_logits_give_three_quarters(self):
-        # logits (ln 3, 0) -> weights (0.75, 0.25)
-        phi1 = np.array([1.0, 0.0])
-        phi2 = np.array([0.0, 1.0])
-        proj_w = np.zeros((4, 2))
-        proj_b = np.array([math.log(3.0), 0.0])
-        f, w = attention_fuse([phi1, phi2], proj_w, proj_b)
-        np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-12)
-        np.testing.assert_allclose(f, 0.75 * phi1 + 0.25 * phi2, atol=1e-12)
+        # logits (ln 3, 0, -inf) -> weights (0.75, 0.25, 0)
+        cache = self._fuse([math.log(3.0), 0.0, -np.inf])
+        np.testing.assert_allclose(cache["w"][0], [0.75, 0.25, 0.0], atol=1e-12)
+        phis = cache["phis"][0]
+        np.testing.assert_allclose(cache["fused"][0], 0.75 * phis[0] + 0.25 * phis[1],
+                                   atol=1e-12)
 
     def test_weights_form_simplex(self):
+        params = _small_params()
         rng = np.random.default_rng(0)
-        chans = [rng.standard_normal(4) for _ in range(3)]
-        _, w = attention_fuse(chans, rng.standard_normal((12, 3)),
-                              rng.standard_normal(3))
-        assert np.all(w >= 0)
-        assert abs(w.sum() - 1.0) < 1e-6
-
-    def test_empty_channels_rejected(self):
-        with pytest.raises(ValueError):
-            attention_fuse([], np.zeros((0, 0)), np.zeros(0))
+        params["fuse_w"] = rng.standard_normal(params["fuse_w"].shape)
+        params["fuse_b"] = rng.standard_normal(3)
+        cache = _forward(params, [[rng.standard_normal(3) for _ in range(n)]
+                                  for n in range(4)])
+        assert np.all(cache["w"] >= 0)
+        np.testing.assert_allclose(cache["w"].sum(axis=1), 1.0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -245,11 +245,3 @@ class TestActionPredictiveness:
         table = action_predictiveness(only_likes[:200], OneVector())
         assert set(table) <= {ActionType.LIKE}
 
-
-def test_thread_cap_parallel_generation_identical(monkeypatch):
-    cfg = DatasetConfig(users=30, posts_per_day=20, days=8, calibrate_survival=False)
-    monkeypatch.delenv("NXTPOST_THREADS", raising=False)
-    _, _, serial = generate_world(cfg, seed=4)
-    monkeypatch.setenv("NXTPOST_THREADS", "3")
-    _, _, parallel = generate_world(cfg, seed=4)
-    assert serial == parallel
