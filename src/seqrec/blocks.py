@@ -1,10 +1,12 @@
-"""Transformer building blocks as explicit forward/backward pairs.
+"""Forward/backward primitives shared by every model in the package.
 
-Everything operates on float64 batches shaped (B, L, D). Each forward returns
-(output, cache); the matching backward consumes the cache and the upstream
-gradient and returns input/parameter gradients. Masking uses additive -inf
-biases, so disallowed attention weights are exactly zero and causality holds
-bit-for-bit, not approximately.
+The transformer blocks operate on float64 batches shaped (B, L, D); the
+softmax, L2-normalize, two-layer MLP and Xavier-init primitives also serve
+the averaged-embedding baseline head and the post tower. Each layer forward
+returns (output, cache); the matching backward consumes the cache and the
+upstream gradient and returns input/parameter gradients. Masking uses additive
+-inf biases, so disallowed attention weights are exactly zero and causality
+holds bit-for-bit, not approximately.
 """
 from __future__ import annotations
 
@@ -37,11 +39,21 @@ def attention_bias(valid: np.ndarray, causal: bool) -> np.ndarray:
     return bias[:, None, :, :]
 
 
+def xavier(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
+    """(n_in, n_out) weights ~ N(0, 2/(n_in+n_out))."""
+    return rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
+
+
 def masked_softmax(scores: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis where -inf rows entries become exact zeros."""
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
+    """Gradient wrt the scores of p = softmax(scores); masked entries (p == 0) get 0."""
+    return p * (d_p - np.sum(d_p * p, axis=-1, keepdims=True))
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -79,8 +91,7 @@ def mha_backward(cache, d_out):
 
     d_attn = d_ctx @ cache["v"].transpose(0, 1, 3, 2)
     d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
-    # softmax backward; masked entries have attn == 0, so their grads vanish
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
+    d_scores = softmax_backward(attn, d_attn)
     d_scores /= math.sqrt(d_k)
     d_q = d_scores @ cache["k"]
     d_k_ = d_scores.transpose(0, 1, 3, 2) @ cache["q"]
@@ -95,7 +106,7 @@ def mha_backward(cache, d_out):
 
 
 def ffn_forward(x, w1, b1, w2, b2):
-    """Position-wise max(0, x W1 + b1) W2 + b2."""
+    """Two-layer ReLU MLP over the last axis: max(0, x W1 + b1) W2 + b2."""
     pre = x @ w1 + b1
     act = np.maximum(pre, 0.0)
     out = act @ w2 + b2

@@ -65,10 +65,9 @@ def _load_sections(path) -> dict:
 
 def _resolve(sections: dict, flag_overrides: dict) -> dict:
     """defaults <- config file <- flags; returns plain dicts per section."""
-    dataset = from_json_dict(DatasetConfig, sections.get("dataset", {}))
-    encoder = from_json_dict(EncoderConfig, sections.get("encoder", {}))
-    loss = from_json_dict(LossConfig, sections.get("loss", {}))
-    train_ = from_json_dict(TrainConfig, sections.get("train", {}))
+    configs = {name: from_json_dict(cls, sections.get(name, {}))
+               for name, cls in (("dataset", DatasetConfig), ("encoder", EncoderConfig),
+                                 ("loss", LossConfig), ("train", TrainConfig))}
     pipe = dict({"eval_holdout_days": 3, "min_interactions": 2,
                  "drop_integrity": True, "oracle_sigma": 0.1},
                 **sections.get("pipeline", {}))
@@ -79,18 +78,8 @@ def _resolve(sections: dict, flag_overrides: dict) -> dict:
         if section == "pipeline":
             pipe[name] = value
         else:
-            obj = {"dataset": dataset, "encoder": encoder,
-                   "loss": loss, "train": train_}[section]
-            if section == "dataset":
-                dataset = dataclasses.replace(obj, **{name: value})
-            elif section == "encoder":
-                encoder = dataclasses.replace(obj, **{name: value})
-            elif section == "loss":
-                loss = dataclasses.replace(obj, **{name: value})
-            else:
-                train_ = dataclasses.replace(obj, **{name: value})
-    return {"dataset": to_json_dict(dataset), "encoder": to_json_dict(encoder),
-            "loss": to_json_dict(loss), "train": to_json_dict(train_),
+            configs[section] = dataclasses.replace(configs[section], **{name: value})
+    return {**{name: to_json_dict(cfg) for name, cfg in configs.items()},
             "pipeline": pipe}
 
 

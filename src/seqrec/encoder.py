@@ -26,8 +26,11 @@ from .blocks import (
     l2_normalize_backward,
     layer_norm_backward,
     layer_norm_forward,
+    masked_softmax,
     mha_backward,
     mha_forward,
+    softmax_backward,
+    xavier,
 )
 from . import tensorio
 from .configs import EncoderConfig
@@ -53,26 +56,22 @@ def init_params(config: EncoderConfig, seed: int) -> dict:
     """Fresh parameter dict. Weight matrices ~ N(0, 2/(fan_in+fan_out)); tables ~ N(0, 0.02^2)."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     d, f = config.d_model, config.d_ff
-
-    def xavier(n_in, n_out):
-        return rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
-
     params: dict[str, np.ndarray] = {
         "pos_table": rng.normal(0.0, 0.02, size=(config.max_seq_len + 1, d)),
         "action_table": rng.normal(0.0, 0.02, size=(ACTION_VOCAB_SIZE, d)),
         "surface_table": rng.normal(0.0, 0.02, size=(config.n_surfaces + 1, d)),
         "cls": rng.normal(0.0, 0.02, size=d),
-        "time_w": xavier(d + 1, d),
+        "time_w": xavier(rng, d + 1, d),
         "time_b": np.zeros(d),
     }
     for i in range(config.n_layers):
-        params[layer_key(i, "wq")] = xavier(d, d)
-        params[layer_key(i, "wk")] = xavier(d, d)
-        params[layer_key(i, "wv")] = xavier(d, d)
-        params[layer_key(i, "wo")] = xavier(d, d)
-        params[layer_key(i, "ffn_w1")] = xavier(d, f)
+        params[layer_key(i, "wq")] = xavier(rng, d, d)
+        params[layer_key(i, "wk")] = xavier(rng, d, d)
+        params[layer_key(i, "wv")] = xavier(rng, d, d)
+        params[layer_key(i, "wo")] = xavier(rng, d, d)
+        params[layer_key(i, "ffn_w1")] = xavier(rng, d, f)
         params[layer_key(i, "ffn_b1")] = np.zeros(f)
-        params[layer_key(i, "ffn_w2")] = xavier(f, d)
+        params[layer_key(i, "ffn_w2")] = xavier(rng, f, d)
         params[layer_key(i, "ffn_b2")] = np.zeros(d)
         params[layer_key(i, "ln1_g")] = np.ones(d)
         params[layer_key(i, "ln1_b")] = np.zeros(d)
@@ -234,11 +233,7 @@ def _pool_forward(hidden, asm: BatchAssembly, params, config: EncoderConfig):
         counts = validf.sum(axis=1, keepdims=True)
         return total / counts, dict(kind="mean", validf=validf, counts=counts)
     # attention pooling over positions
-    scores = hidden @ params["pool_w"]
-    scores = np.where(asm.valid, scores, -np.inf)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    w = e / e.sum(axis=1, keepdims=True)
+    w = masked_softmax(np.where(asm.valid, hidden @ params["pool_w"], -np.inf))
     pooled = np.einsum("bl,bld->bd", w, hidden)
     return pooled, dict(kind="attention", w=w, hidden=hidden)
 
@@ -257,7 +252,7 @@ def _pool_backward(d_pooled, cache, asm: BatchAssembly, params, grads, config):
         w, hidden = pc["w"], pc["hidden"]
         d_w = np.einsum("bd,bld->bl", d_pooled, hidden)
         d_hidden += w[:, :, None] * d_pooled[:, None, :]
-        d_scores = w * (d_w - np.sum(d_w * w, axis=1, keepdims=True))
+        d_scores = softmax_backward(w, d_w)
         grads["pool_w"] += np.einsum("bl,bld->d", d_scores, hidden)
         d_hidden += d_scores[:, :, None] * params["pool_w"][None, None, :]
     return d_hidden

@@ -174,6 +174,9 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
     from .configs import BackfillPolicy
     from .coldstart import PopularityIndex, backfill_history, user_user_similarity
 
+    if not data.users:
+        raise ValueError("this world has no generator user profiles (a world read "
+                         "from disk carries none); coldstart_eval needs them to backfill")
     cutoff = data.holdout_start_ts
     per_user = events_by_user(data.events)
     profiles = {u.user_id: u for u in data.users}

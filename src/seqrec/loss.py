@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import l2_normalize, l2_normalize_backward
 from .configs import LossConfig
 
 log = logging.getLogger(__name__)
@@ -96,41 +97,48 @@ def _maybe_sample(pool: NegativePool, cfg: LossConfig, seed: int) -> NegativePoo
 class LossResult:
     loss: float
     n_terms: int
-    d_anchor_raw: np.ndarray | None = None   # gradient wrt the raw (pre-norm) anchors
 
 
-def _ce_terms(anchors_raw: np.ndarray, pos_vecs: np.ndarray, pool: NegativePool,
-              row_of_anchor: np.ndarray, s: float) -> LossResult:
-    """Shared core: normalized anchors against [positive | unowned pool columns].
+def _ce_terms(anchors: np.ndarray, pos_vecs: np.ndarray, pool: NegativePool,
+              row_of_anchor: np.ndarray, s: float) -> tuple[float, np.ndarray]:
+    """The one CE core: unit anchors against [positive | unowned pool columns].
 
-    anchors_raw: (Na, D) pre-normalization anchors; pos_vecs: (Na, D) unit.
-    Gradient returned is wrt anchors_raw, averaged over terms.
+    anchors, pos_vecs: (Na, D) unit rows, Na >= 1. Returns the mean loss over
+    anchors and its gradient wrt the unit anchors.
     """
-    na = anchors_raw.shape[0]
-    if na == 0:
-        return LossResult(0.0, 0, np.zeros_like(anchors_raw))
-    norms = np.linalg.norm(anchors_raw, axis=1, keepdims=True)
-    anchors = anchors_raw / norms
+    na = anchors.shape[0]
     pos_logit = s * np.sum(anchors * pos_vecs, axis=1)                 # (Na,)
-    if len(pool):
-        neg_logits = s * (anchors @ pool.vectors.T)                    # (Na, Np)
-        blocked = pool.owners[row_of_anchor]                           # (Na, Np)
-        neg_logits = np.where(blocked, -np.inf, neg_logits)
-        logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
-    else:
-        logits = pos_logit[:, None]
+    neg_logits = s * (anchors @ pool.vectors.T)                        # (Na, Np)
+    blocked = pool.owners[row_of_anchor]                               # (Na, Np)
+    neg_logits = np.where(blocked, -np.inf, neg_logits)
+    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     z = e.sum(axis=1, keepdims=True)
     loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - pos_logit))
     p = e / z                                                          # softmax probs
     # dL/d_anchor = s/Na * (sum_j p_j c_j - c_pos); masked columns have p == 0
-    d_anchor = (p[:, 0:1] - 1.0) * pos_vecs
-    if len(pool):
-        d_anchor += p[:, 1:] @ pool.vectors
+    d_anchor = (p[:, 0:1] - 1.0) * pos_vecs + p[:, 1:] @ pool.vectors
     d_anchor *= s / na
-    d_raw = (d_anchor - anchors * np.sum(anchors * d_anchor, axis=1, keepdims=True)) / norms
-    return LossResult(loss, na, d_raw)
+    return loss, d_anchor
+
+
+def _in_batch_ce(name: str, samples: list, owned_ids: list, rows: np.ndarray,
+                 pos_ids: list, anchors: np.ndarray, embeddings, cfg: LossConfig,
+                 neg_seed: int) -> tuple[LossResult, np.ndarray]:
+    """Shared tail of both objectives: pool the batch rows' posts, then the core.
+
+    owned_ids[b] are the posts batch row b contributes to the pool; anchor i
+    belongs to row rows[i] and must match post pos_ids[i]. Returns the result
+    and the gradient wrt the unit anchors.
+    """
+    if len({s.user_id for s in samples}) < 2:
+        log.warning("%s: batch has a single user; no negatives exist", name)
+    pool = _maybe_sample(build_pool(owned_ids, embeddings), cfg, neg_seed)
+    if not len(rows):
+        return LossResult(0.0, 0), np.zeros_like(anchors)
+    loss, d_anchor = _ce_terms(anchors, embeddings.gather(pos_ids), pool, rows, cfg.scale)
+    return LossResult(loss, len(rows)), d_anchor
 
 
 def short_term_loss(hidden: np.ndarray, asm, samples: list, embeddings,
@@ -142,28 +150,21 @@ def short_term_loss(hidden: np.ndarray, asm, samples: list, embeddings,
     position (normalized) must match the next post's embedding against all
     other users' history posts. Returns (result, d_hidden).
     """
-    b_total = hidden.shape[0]
     cls_extra = 1 if use_cls else 0
     hists = [s.history[-max_seq_len:] for s in samples]
-    if len({s.user_id for s in samples}) < 2:
-        log.warning("short_term_loss: batch has a single user; no negatives exist")
-    pool = _maybe_sample(build_pool([[h.post_id for h in hist] for hist in hists],
-                                    embeddings), cfg, neg_seed)
-    anchor_pos = []    # (row, col) of the anchor hidden state
-    pos_ids = []
+    rows, cols, pos_ids = [], [], []
     for b, hist in enumerate(hists):
         for t in range(len(hist) - 1):
-            anchor_pos.append((b, t + cls_extra))
+            rows.append(b)
+            cols.append(t + cls_extra)
             pos_ids.append(hist[t + 1].post_id)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    anchors, norms = l2_normalize(hidden[rows, cols])
+    res, d_anchor = _in_batch_ce("short_term_loss", samples,
+                                 [[h.post_id for h in hist] for hist in hists],
+                                 rows, pos_ids, anchors, embeddings, cfg, neg_seed)
     d_hidden = np.zeros_like(hidden)
-    if not anchor_pos:
-        return LossResult(0.0, 0), d_hidden
-    rows = np.array([r for r, _ in anchor_pos])
-    cols = np.array([c for _, c in anchor_pos])
-    anchors_raw = hidden[rows, cols]
-    pos_vecs = embeddings.gather(pos_ids)
-    res = _ce_terms(anchors_raw, pos_vecs, pool, rows, cfg.scale)
-    np.add.at(d_hidden, (rows, cols), res.d_anchor_raw)
+    np.add.at(d_hidden, (rows, cols), l2_normalize_backward(anchors, norms, d_anchor))
     return res, d_hidden
 
 
@@ -176,36 +177,13 @@ def long_term_loss(user_vecs: np.ndarray, samples: list, embeddings,
     Returns (result, d_user_vecs) with the gradient taken wrt the unit vectors.
     """
     targets = [s.long_targets[:cfg.m] for s in samples]
-    if len({s.user_id for s in samples}) < 2:
-        log.warning("long_term_loss: batch has a single user; no negatives exist")
-    pool = _maybe_sample(build_pool(targets, embeddings), cfg, neg_seed)
-    rows, pos_ids = [], []
-    for b, tgt in enumerate(targets):
-        for pid in tgt:
-            rows.append(b)
-            pos_ids.append(pid)
+    rows = np.array([b for b, tgt in enumerate(targets) for _ in tgt], dtype=np.int64)
+    pos_ids = [pid for tgt in targets for pid in tgt]
+    res, d_anchor = _in_batch_ce("long_term_loss", samples, targets, rows, pos_ids,
+                                 user_vecs[rows], embeddings, cfg, neg_seed)
     d_user = np.zeros_like(user_vecs)
-    if not rows:
-        return LossResult(0.0, 0), d_user
-    rows = np.array(rows)
-    anchors = user_vecs[rows]
-    pos_vecs = embeddings.gather(pos_ids)
-
-    na = anchors.shape[0]
-    s = cfg.scale
-    pos_logit = s * np.sum(anchors * pos_vecs, axis=1)
-    neg_logits = s * (anchors @ pool.vectors.T)
-    neg_logits = np.where(pool.owners[rows], -np.inf, neg_logits)
-    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    z = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - pos_logit))
-    p = e / z
-    d_anchor = (p[:, 0:1] - 1.0) * pos_vecs + p[:, 1:] @ pool.vectors
-    d_anchor *= s / na
     np.add.at(d_user, rows, d_anchor)
-    return LossResult(loss, na), d_user
+    return res, d_user
 
 
 def total_loss(short: float, long: float, cfg: LossConfig) -> float:

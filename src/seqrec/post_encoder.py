@@ -19,6 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import (
+    ffn_backward,
+    ffn_forward,
+    l2_normalize,
+    l2_normalize_backward,
+    masked_softmax,
+    softmax_backward,
+    xavier,
+)
 from .configs import DatasetConfig
 from .embeddings import EmbeddingSet
 from .optim import Adam
@@ -49,27 +58,22 @@ class PostTowerConfig:
 def init_post_tower(cfg: PostTowerConfig, n_langs: int, n_countries: int,
                     seed: int) -> dict:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def xavier(n_in, n_out):
-        s = math.sqrt(2.0 / (n_in + n_out))
-        return rng.normal(0.0, s, size=(n_in, n_out))
-
     c, f, h, d = cfg.channel_dim, cfg.fused_dim, cfg.image_hidden, cfg.out_dim
     return {
-        "text_w": xavier(c, f),
+        "text_w": xavier(rng, c, f),
         "text_b": np.zeros(f),
-        "img_w1": xavier(c, h),
+        "img_w1": xavier(rng, c, h),
         "img_b1": np.zeros(h),
-        "img_w2": xavier(h, f),
+        "img_w2": xavier(rng, h, f),
         "img_b2": np.zeros(f),
         "lang_table": rng.normal(0.0, 0.02, size=(n_langs, f)),
         "country_table": rng.normal(0.0, 0.02, size=(n_countries, f)),
-        "fuse_w": xavier(3 * f, 3),
+        "fuse_w": xavier(rng, 3 * f, 3),
         "fuse_b": np.zeros(3),
         # Small output weights plus a constant bias direction: at init every
         # post lands near the same unit vector, so first-batch logits are
         # near-uniform and the loss starts at ~ln(B).
-        "out_w": 0.05 * xavier(f, d),
+        "out_w": 0.05 * xavier(rng, f, d),
         "out_b": np.full(d, 1.0 / math.sqrt(d)),
     }
 
@@ -80,10 +84,9 @@ def _tower_forward(params: dict, text: np.ndarray, images: np.ndarray,
     """Batched forward. images: (B, I, C) zero-padded, img_mask: (B, I)."""
     b, i, c = images.shape
     phi_text = text @ params["text_w"] + params["text_b"]                     # (B, F)
-    flat = images.reshape(b * i, c)
-    h_pre = flat @ params["img_w1"] + params["img_b1"]
-    h = np.maximum(h_pre, 0.0)
-    per_img = (h @ params["img_w2"] + params["img_b2"]).reshape(b, i, -1)
+    per_img, img_cache = ffn_forward(images.reshape(b * i, c), params["img_w1"],
+                                     params["img_b1"], params["img_w2"], params["img_b2"])
+    per_img = per_img.reshape(b, i, -1)
     counts = img_mask.sum(axis=1)
     denom = np.maximum(counts, 1.0)[:, None]
     phi_img = (per_img * img_mask[:, :, None]).sum(axis=1) / denom           # zero rows when no images
@@ -91,24 +94,18 @@ def _tower_forward(params: dict, text: np.ndarray, images: np.ndarray,
 
     phis = np.stack([phi_text, phi_img, phi_attr], axis=1)                    # (B, 3, F)
     z = phis.reshape(b, -1)
-    logits = z @ params["fuse_w"] + params["fuse_b"]
-    logits = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w = w / w.sum(axis=1, keepdims=True)                                      # (B, 3)
+    w = masked_softmax(z @ params["fuse_w"] + params["fuse_b"])               # (B, 3)
     fused = np.einsum("bn,bnf->bf", w, phis)
-    raw = fused @ params["out_w"] + params["out_b"]                           # (B, D)
-    norm = np.linalg.norm(raw, axis=1, keepdims=True)
-    out = raw / norm
-    cache = dict(text=text, images=images, img_mask=img_mask, lang_idx=lang_idx,
-                 country_idx=country_idx, h_pre=h_pre, h=h, counts=counts,
-                 phis=phis, z=z, w=w, fused=fused, raw=raw, norm=norm, out=out)
+    out, norm = l2_normalize(fused @ params["out_w"] + params["out_b"])       # (B, D)
+    cache = dict(text=text, img_mask=img_mask, lang_idx=lang_idx,
+                 country_idx=country_idx, img=img_cache, counts=counts,
+                 phis=phis, z=z, w=w, fused=fused, norm=norm, out=out)
     return out, cache
 
 
 def _tower_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) -> None:
     """Accumulate parameter gradients for one branch into `grads`."""
-    out, raw, norm = cache["out"], cache["raw"], cache["norm"]
-    d_raw = (d_out - out * np.sum(out * d_out, axis=1, keepdims=True)) / norm
+    d_raw = l2_normalize_backward(cache["out"], cache["norm"], d_out)
     grads["out_w"] += cache["fused"].T @ d_raw
     grads["out_b"] += d_raw.sum(axis=0)
     d_fused = d_raw @ params["out_w"].T                                       # (B, F)
@@ -116,7 +113,7 @@ def _tower_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) -
     w, phis = cache["w"], cache["phis"]
     dw = np.einsum("bf,bnf->bn", d_fused, phis)
     d_phis = w[:, :, None] * d_fused[:, None, :]
-    d_logits = w * (dw - np.sum(dw * w, axis=1, keepdims=True))
+    d_logits = softmax_backward(w, dw)
     grads["fuse_w"] += cache["z"].T @ d_logits
     grads["fuse_b"] += d_logits.sum(axis=0)
     d_phis += (d_logits @ params["fuse_w"].T).reshape(d_phis.shape)
@@ -125,16 +122,12 @@ def _tower_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) -
     grads["text_w"] += cache["text"].T @ d_text
     grads["text_b"] += d_text.sum(axis=0)
 
-    b, i, c = cache["images"].shape
+    b, i = cache["img_mask"].shape
     denom = np.maximum(cache["counts"], 1.0)[:, None]
     d_per_img = (d_img / denom)[:, None, :] * cache["img_mask"][:, :, None]   # (B, I, F)
-    d_flat = d_per_img.reshape(b * i, -1)
-    grads["img_w2"] += cache["h"].T @ d_flat
-    grads["img_b2"] += d_flat.sum(axis=0)
-    d_h = (d_flat @ params["img_w2"].T) * (cache["h_pre"] > 0)
-    flat = cache["images"].reshape(b * i, c)
-    grads["img_w1"] += flat.T @ d_h
-    grads["img_b1"] += d_h.sum(axis=0)
+    _, *d_img_params = ffn_backward(cache["img"], d_per_img.reshape(b * i, -1))
+    for name, g in zip(("img_w1", "img_b1", "img_w2", "img_b2"), d_img_params):
+        grads[name] += g
 
     np.add.at(grads["lang_table"], cache["lang_idx"], d_attr)
     np.add.at(grads["country_table"], cache["country_idx"], d_attr)

@@ -42,17 +42,36 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> dict:
 
 
 def load_tensors(path) -> tuple[dict, dict]:
-    """Read (tensors, meta); tensors come back float64 with exact f32 values."""
+    """Read (tensors, meta); tensors come back float64 with exact f32 values.
+
+    A truncated, corrupt or over-long file raises ValueError naming the path.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a tensor checkpoint")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(blob_len).decode("utf-8"))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        (blob_len,) = struct.unpack("<I", head)
+        blob = fh.read(blob_len)
+        if len(blob) != blob_len:
+            raise ValueError(f"{path}: truncated checkpoint manifest")
+        try:
+            manifest = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: corrupt checkpoint manifest ({exc})") from None
         payload = fh.read()
     tensors = {}
+    end = 0
     for name, entry in manifest["tensors"].items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
+        stop = entry["offset"] + 4 * count
+        if stop > len(payload):
+            raise ValueError(f"{path}: truncated checkpoint payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
         tensors[name] = arr.reshape(shape).astype(np.float64)
+        end = max(end, stop)
+    if end != len(payload):
+        raise ValueError(f"{path}: {len(payload) - end} trailing bytes after the tensors")
     return tensors, manifest.get("meta", {})

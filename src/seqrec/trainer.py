@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import ffn_backward, ffn_forward, l2_normalize, l2_normalize_backward, xavier
 from .configs import EncoderConfig, LossConfig, TrainConfig
 from .encoder import (
     assemble_batch_inputs,
@@ -31,7 +32,6 @@ from .encoder import (
 from .loss import long_term_loss, short_term_loss, total_loss
 from .metrics import diagonal_ranks
 from .optim import Adam, clip_by_global_norm
-from .blocks import l2_normalize, l2_normalize_backward
 
 log = logging.getLogger(__name__)
 
@@ -69,36 +69,26 @@ BASELINE_HIDDEN = 64
 
 def init_baseline_params(dim: int, seed: int) -> dict:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def xavier(n_in, n_out):
-        return rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
-
     return {
-        "w1": xavier(dim, BASELINE_HIDDEN),
+        "w1": xavier(rng, dim, BASELINE_HIDDEN),
         "b1": np.zeros(BASELINE_HIDDEN),
-        "w2": xavier(BASELINE_HIDDEN, dim),
+        "w2": xavier(rng, BASELINE_HIDDEN, dim),
         "b2": np.zeros(dim),
     }
 
 
 def baseline_forward(params: dict, mean_emb: np.ndarray):
-    pre = mean_emb @ params["w1"] + params["b1"]
-    act = np.maximum(pre, 0.0)
-    raw = act @ params["w2"] + params["b2"]
+    raw, ffn_cache = ffn_forward(mean_emb, params["w1"], params["b1"],
+                                 params["w2"], params["b2"])
     unit, norms = l2_normalize(raw)
-    return unit, dict(mean_emb=mean_emb, pre=pre, act=act, unit=unit, norms=norms)
+    return unit, dict(ffn=ffn_cache, unit=unit, norms=norms)
 
 
-def baseline_backward(params: dict, cache: dict, d_unit: np.ndarray) -> dict:
+def baseline_backward(cache: dict, d_unit: np.ndarray) -> dict:
     d_raw = l2_normalize_backward(cache["unit"], cache["norms"], d_unit)
-    grads = {
-        "w2": cache["act"].T @ d_raw,
-        "b2": d_raw.sum(axis=0),
-    }
-    d_act = (d_raw @ params["w2"].T) * (cache["pre"] > 0)
-    grads["w1"] = cache["mean_emb"].T @ d_act
-    grads["b1"] = d_act.sum(axis=0)
-    return grads
+    _, d_w1, d_b1, d_w2, d_b2 = ffn_backward(cache["ffn"], d_raw)
+    # clip_by_global_norm sums over the dict in order; keep w2, b2, w1, b1
+    return {"w2": d_w2, "b2": d_b2, "w1": d_w1, "b1": d_b1}
 
 
 def _mean_history_embedding(samples: list, embeddings, max_len: int) -> np.ndarray:
@@ -220,7 +210,7 @@ def train_step(tower: UserTower, opt: Adam, batch: list, embeddings,
         user_vec, cache = baseline_forward(tower.params, mean)
         long_res, d_user = long_term_loss(user_vec, batch, embeddings, loss_cfg, neg_seed)
         loss = total_loss(0.0, long_res.loss, loss_cfg)
-        grads = baseline_backward(tower.params, cache, loss_cfg.w_long * d_user)
+        grads = baseline_backward(cache, loss_cfg.w_long * d_user)
         short_val = 0.0
         long_val = long_res.loss
     else:

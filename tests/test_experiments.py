@@ -1,12 +1,18 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from seqrec.cli import main
 from seqrec.configs import DatasetConfig, EncoderConfig, LossConfig, TrainConfig
-from seqrec.experiments import staleness_experiment, sweep, temporal_decay_experiment
-from seqrec.pipeline import alive_corpus, prepare
-from seqrec.trainer import train
+from seqrec.encoder import init_params
+from seqrec.experiments import (
+    coldstart_eval, staleness_experiment, sweep, temporal_decay_experiment,
+)
+from seqrec.manifest import RunManifest
+from seqrec.pipeline import alive_corpus, load_pipeline, prepare
+from seqrec.trainer import UserTower, train
 from seqrec.world import SECONDS_PER_DAY
 
 
@@ -138,3 +144,19 @@ def test_sweep_seq_len_diminishing_returns():
     bottom_gain = hits[1] - hits[0]
     top_gain = hits[3] - hits[2]
     assert top_gain <= bottom_gain, f"hits={hits}"
+
+
+def test_coldstart_eval_names_missing_profiles(tmp_path):
+    """A gen-data world has cold/marginal users but no generator profiles."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {
+        "users": 40, "posts_per_day": 20, "days": 10, "marginal_user_frac": 0.3,
+        "calibrate_survival": False}}))
+    world = tmp_path / "world"
+    assert main(["gen-data", "--config", str(config), "--seed", "3",
+                 "--out", str(world)]) == 0
+    data = load_pipeline(world, RunManifest.load(world / "manifest.json").config)
+    enc = EncoderConfig()
+    tower = UserTower("transformer", init_params(enc, 0), enc, data.surfaces)
+    with pytest.raises(ValueError, match="no generator user profiles"):
+        coldstart_eval(data, tower)

@@ -166,6 +166,59 @@ class TestLongTermLoss:
         np.testing.assert_array_equal(embs.vectors, before)
 
 
+def _shared_post_batch():
+    """Four users; the last shares a history post and a long target with the first."""
+    samples = make_samples(3, (3, 4), 60, seed=11, n_targets=2)
+    first = samples[0]
+    hist = [HistoryItem(first.history[1].post_id, 0, "feed", 70_000),
+            HistoryItem(45, 1, "search", 70_060),
+            HistoryItem(46, 2, "feed", 70_120)]
+    samples.append(SequenceSample(999, hist, [first.long_targets[0], 47], 71_000,
+                                  [71_001, 71_002]))
+    return samples
+
+
+def _reference_mean(anchors_by_row, pos_by_row, owned_by_row, embs, s):
+    """Mean of scaled_cross_entropy over anchors, negatives = posts other rows own."""
+    pooled = set().union(*owned_by_row)
+    terms = []
+    for b, (anchors, positives) in enumerate(zip(anchors_by_row, pos_by_row)):
+        negatives = [embs.vector(pid) for pid in sorted(pooled - set(owned_by_row[b]))]
+        terms += [scaled_cross_entropy(a, embs.vector(pid), negatives, s)
+                  for a, pid in zip(anchors, positives)]
+    return float(np.mean(terms))
+
+
+class TestCoreMatchesReference:
+    """The batched core equals the scalar reference, shared posts included."""
+
+    def test_short_term(self, model_setup):
+        cfg, embs, params = model_setup
+        samples = _shared_post_batch()
+        asm, hidden, _ = _hidden_for(samples, cfg, embs, params)
+        res, _ = short_term_loss(hidden, asm, samples, embs, LossConfig(),
+                                 cfg.max_seq_len, cfg.use_cls)
+        anchors = [[unit(hidden[b, t + 1]) for t in range(len(s.history) - 1)]
+                   for b, s in enumerate(samples)]
+        positives = [[h.post_id for h in s.history[1:]] for s in samples]
+        owned = [[h.post_id for h in s.history] for s in samples]
+        ref = _reference_mean(anchors, positives, owned, embs, LossConfig().scale)
+        assert res.n_terms == sum(len(a) for a in anchors)
+        assert abs(res.loss - ref) < 1e-12
+
+    def test_long_term(self, model_setup):
+        cfg, embs, params = model_setup
+        samples = _shared_post_batch()
+        _, _, uv = _hidden_for(samples, cfg, embs, params)
+        lcfg = LossConfig(m=2)
+        res, _ = long_term_loss(uv, samples, embs, lcfg)
+        targets = [s.long_targets for s in samples]
+        anchors = [[uv[b]] * len(t) for b, t in enumerate(targets)]
+        ref = _reference_mean(anchors, targets, targets, embs, lcfg.scale)
+        assert res.n_terms == 8
+        assert abs(res.loss - ref) < 1e-12
+
+
 class TestTotalLoss:
     def test_pure_short(self):
         cfg = LossConfig(w_short=1.0, w_long=0.0)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,22 @@ def test_rejects_wrong_magic(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"NOPE" + b"\x00" * 8)
     with pytest.raises(ValueError, match="not a tensor checkpoint"):
         load_tensors(tmp_path / "junk.ckpt")
+
+
+def _damage(data: bytes, kind: str) -> bytes:
+    blob_end = 8 + struct.unpack("<I", data[4:8])[0]
+    return {"header": data[:6],
+            "manifest": data[:blob_end - 5],
+            "bad_json": data[:8] + b"{" * (blob_end - 8) + data[blob_end:],
+            "payload": data[:-4],
+            "trailing": data + b"\x00" * 8}[kind]
+
+
+@pytest.mark.parametrize("kind", ["header", "manifest", "bad_json", "payload", "trailing"])
+def test_damaged_file_raises_value_error_naming_path(tmp_path, kind):
+    good = tmp_path / "good.ckpt"
+    save_tensors(good, {"a": np.ones((2, 3)), "b": np.arange(4.0)}, meta={"k": 1})
+    bad = tmp_path / f"{kind}.ckpt"
+    bad.write_bytes(_damage(good.read_bytes(), kind))
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        load_tensors(bad)
