@@ -131,9 +131,6 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     is_cls = np.zeros((B, L), dtype=bool)
 
     for b, (sample, hist) in enumerate(zip(samples, hists)):
-        if hist:
-            emb[b, cls_extra:cls_extra + len(hist)] = embeddings.gather(
-                [h.post_id for h in hist])
         for t, h in enumerate(hist):
             col = t + cls_extra
             pos_ids[b, col] = col
@@ -148,6 +145,8 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
         if config.use_cls:
             is_cls[b, 0] = True
 
+    # is_real is row-major in (sample, history position) order: one gather fills it
+    emb[is_real] = embeddings.gather([h.post_id for hist in hists for h in hist])
     tp_in = np.concatenate([emb, rel[:, :, None] / TIME_LOG_SCALE], axis=2)
     time_out = tp_in @ params["time_w"] + params["time_b"]
     tokens = np.where(is_real[:, :, None],
@@ -319,8 +318,9 @@ def encode_user_vectors(samples: list, embeddings, params: dict,
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
         asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
-        _, user_vec, _ = encode_batch(asm, params, config, train=False)
-        out[lo:lo + len(part)] = user_vec
+        # Keep only the user vectors: holding the whole result would keep this
+        # chunk's backward cache alive while the next chunk builds its own.
+        out[lo:lo + len(part)] = encode_batch(asm, params, config, train=False)[1]
     return out
 
 

@@ -59,15 +59,14 @@ class NegativePool:
 
 def build_pool(per_row_ids: list, embeddings) -> NegativePool:
     """Pool from per-batch-row post-id collections (deduplicated across rows)."""
-    all_ids = sorted({int(pid) for ids in per_row_ids for pid in ids})
-    id_to_col = {pid: i for i, pid in enumerate(all_ids)}
-    owners = np.zeros((len(per_row_ids), len(all_ids)), dtype=bool)
-    for b, ids in enumerate(per_row_ids):
-        for pid in ids:
-            owners[b, id_to_col[int(pid)]] = True
-    vectors = embeddings.gather(all_ids) if all_ids else np.zeros((0, embeddings.dim))
-    return NegativePool(ids=np.array(all_ids, dtype=np.int64), vectors=vectors,
-                        owners=owners)
+    counts = [len(ids) for ids in per_row_ids]
+    flat = np.fromiter((int(pid) for ids in per_row_ids for pid in ids),
+                       dtype=np.int64, count=sum(counts))
+    ids, col = np.unique(flat, return_inverse=True)
+    owners = np.zeros((len(per_row_ids), len(ids)), dtype=bool)
+    owners[np.repeat(np.arange(len(per_row_ids)), counts), col] = True
+    vectors = embeddings.gather(ids) if len(ids) else np.zeros((0, embeddings.dim))
+    return NegativePool(ids=ids, vectors=vectors, owners=owners)
 
 
 def sample_negatives(pool: NegativePool, k: int, seed: int) -> NegativePool:
@@ -103,22 +102,34 @@ def _ce_terms(anchors: np.ndarray, pos_vecs: np.ndarray, pool: NegativePool,
               row_of_anchor: np.ndarray, s: float) -> tuple[float, np.ndarray]:
     """The one CE core: unit anchors against [positive | unowned pool columns].
 
-    anchors, pos_vecs: (Na, D) unit rows, Na >= 1. Returns the mean loss over
-    anchors and its gradient wrt the unit anchors.
+    anchors, pos_vecs: (Na, D) unit rows, Na >= 1, grouped by batch row
+    (row_of_anchor non-decreasing). Returns the mean loss over anchors and its
+    gradient wrt the unit anchors. All (Na, 1 + Np) work happens in place in
+    one buffer: logits, then shifted logits, then exponentials, then softmax
+    probabilities.
     """
+    if np.any(np.diff(row_of_anchor) < 0):
+        raise ValueError("_ce_terms: anchors must be grouped by batch row "
+                         "(row_of_anchor non-decreasing)")
     na = anchors.shape[0]
     pos_logit = s * np.sum(anchors * pos_vecs, axis=1)                 # (Na,)
-    neg_logits = s * (anchors @ pool.vectors.T)                        # (Na, Np)
-    blocked = pool.owners[row_of_anchor]                               # (Na, Np)
-    neg_logits = np.where(blocked, -np.inf, neg_logits)
-    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    z = e.sum(axis=1, keepdims=True)
+    buf = np.empty((na, 1 + len(pool)))
+    buf[:, 0] = pos_logit
+    neg = buf[:, 1:]
+    np.matmul(anchors, pool.vectors.T, out=neg)
+    neg *= s
+    # Every anchor of one batch row shares that row's owned (blocked) columns.
+    starts = np.flatnonzero(np.diff(row_of_anchor, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], na)):
+        neg[a:b, pool.owners[row_of_anchor[a]]] = -np.inf
+    m = buf.max(axis=1, keepdims=True)
+    buf -= m
+    np.exp(buf, out=buf)
+    z = buf.sum(axis=1, keepdims=True)
     loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - pos_logit))
-    p = e / z                                                          # softmax probs
+    buf /= z                                                           # softmax probs
     # dL/d_anchor = s/Na * (sum_j p_j c_j - c_pos); masked columns have p == 0
-    d_anchor = (p[:, 0:1] - 1.0) * pos_vecs + p[:, 1:] @ pool.vectors
+    d_anchor = (buf[:, 0:1] - 1.0) * pos_vecs + neg @ pool.vectors
     d_anchor *= s / na
     return loss, d_anchor
 
@@ -141,7 +152,7 @@ def _in_batch_ce(name: str, samples: list, owned_ids: list, rows: np.ndarray,
     return LossResult(loss, len(rows)), d_anchor
 
 
-def short_term_loss(hidden: np.ndarray, asm, samples: list, embeddings,
+def short_term_loss(hidden: np.ndarray, samples: list, embeddings,
                     cfg: LossConfig, max_seq_len: int, use_cls: bool,
                     neg_seed: int = 0) -> tuple[LossResult, np.ndarray]:
     """Per-position next-post objective under the causal mask.
@@ -164,7 +175,8 @@ def short_term_loss(hidden: np.ndarray, asm, samples: list, embeddings,
                                  [[h.post_id for h in hist] for hist in hists],
                                  rows, pos_ids, anchors, embeddings, cfg, neg_seed)
     d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, (rows, cols), l2_normalize_backward(anchors, norms, d_anchor))
+    # each (row, col) is one history position, so plain assignment suffices
+    d_hidden[rows, cols] = l2_normalize_backward(anchors, norms, d_anchor)
     return res, d_hidden
 
 

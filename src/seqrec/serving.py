@@ -233,15 +233,22 @@ class _SnapshotEmbeddings:
         self._snap = snap
         self.dim = dim
 
-    def vector(self, post_id: int) -> np.ndarray:
+    def _entry(self, post_id: int) -> StoreEntry:
         entry = self._snap.get(int(post_id))
         if entry is None:
             raise KeyError(f"no embedding for post id {post_id}")
-        return entry.vector.astype(np.float64)
+        return entry
+
+    def vector(self, post_id: int) -> np.ndarray:
+        return self._entry(post_id).vector.astype(np.float64)
 
     def gather(self, post_ids) -> np.ndarray:
-        return np.stack([self.vector(pid) for pid in post_ids]) if len(post_ids) \
-            else np.zeros((0, self.dim))
+        # Rows are widened to float64 as they are copied in: a whole batch's
+        # history is one gather, so no per-row temporaries are kept.
+        out = np.empty((len(post_ids), self.dim))
+        for i, pid in enumerate(post_ids):
+            out[i] = self._entry(pid).vector
+        return out
 
 
 def calibrate_threshold(sim: ServingSim, validation: list, k: int,

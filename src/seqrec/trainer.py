@@ -222,7 +222,7 @@ def train_step(tower: UserTower, opt: Adam, batch: list, embeddings,
         short_val = 0.0
         if loss_cfg.w_short > 0:
             short_res, d_hidden = short_term_loss(
-                hidden, asm, batch, embeddings, loss_cfg,
+                hidden, batch, embeddings, loss_cfg,
                 tower.enc_cfg.max_seq_len, tower.enc_cfg.use_cls, neg_seed)
             short_val = short_res.loss
             d_hidden = d_hidden * loss_cfg.w_short

@@ -1,11 +1,15 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from seqrec.actions import NULL_ACTION_ID
 from seqrec.configs import EncoderConfig
 from seqrec.encoder import (
-    assemble_batch_inputs, encode_batch, encode_sequence,
-    init_params, load_checkpoint, save_checkpoint,
+    TIME_LOG_SCALE, BatchAssembly, assemble_batch_inputs, encode_batch, encode_sequence,
+    encode_user_vectors, init_params, load_checkpoint, save_checkpoint,
 )
 from seqrec.samples import HistoryItem, SequenceSample
 
@@ -67,6 +71,87 @@ class TestAssembleInput:
         s = SequenceSample(1, hist, [20], 1000, [1001])
         asm = assemble_batch_inputs([s], embs, params, cfg, SURFACES)
         assert asm.tokens.shape[1] == cfg.max_seq_len + 1
+
+
+def _assemble_per_sample(samples, embeddings, params, config, surfaces):
+    """Reference assembly that gathers each sample's history on its own."""
+    d, cls_extra = config.d_model, 1 if config.use_cls else 0
+    hists = [s.history[-config.max_seq_len:] for s in samples]
+    lengths = np.array([len(h) + cls_extra for h in hists], dtype=np.int64)
+    B, L = len(samples), int(lengths.max())
+    emb, rel = np.zeros((B, L, d)), np.zeros((B, L))
+    pos_ids = np.zeros((B, L), dtype=np.int64)
+    act_ids = np.full((B, L), NULL_ACTION_ID, dtype=np.int64)
+    surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
+    is_real = np.zeros((B, L), dtype=bool)
+    is_cls = np.zeros((B, L), dtype=bool)
+    for b, (sample, hist) in enumerate(zip(samples, hists)):
+        if hist:
+            emb[b, cls_extra:cls_extra + len(hist)] = embeddings.gather(
+                [h.post_id for h in hist])
+        for t, h in enumerate(hist):
+            col = t + cls_extra
+            pos_ids[b, col], act_ids[b, col] = col, h.action_id
+            surf_ids[b, col] = surfaces.get(h.surface, config.n_surfaces)
+            is_real[b, col] = True
+            rel[b, col] = math.log1p(float(sample.cutoff_time - h.ts))
+        is_cls[b, 0] = config.use_cls
+    tp_in = np.concatenate([emb, rel[:, :, None] / TIME_LOG_SCALE], axis=2)
+    tokens = np.where(is_real[:, :, None],
+                      tp_in @ params["time_w"] + params["time_b"]
+                      + params["pos_table"][pos_ids] + params["action_table"][act_ids]
+                      + params["surface_table"][surf_ids], 0.0)
+    if config.use_cls:
+        tokens[:, 0, :] = params["cls"] + params["pos_table"][0]
+    return BatchAssembly(tokens=tokens, valid=is_real | is_cls, lengths=lengths,
+                         is_real=is_real, is_cls=is_cls, pos_ids=pos_ids,
+                         act_ids=act_ids, surf_ids=surf_ids, tp_in=tp_in)
+
+
+class TestBatchedGather:
+    """One gather for the whole batch gives the per-sample assembly's exact bytes."""
+
+    @pytest.mark.parametrize("use_cls", [True, False])
+    def test_equals_per_sample_assembly(self, setup, use_cls):
+        cfg, embs, params, samples = setup
+        cfg = dataclasses.replace(cfg, use_cls=use_cls)
+        long_hist = [HistoryItem(i, i % 9, "search", 100 + i) for i in range(10)]
+        batch = samples + [SequenceSample(2, long_hist, [20], 1000, [1001])]
+        if use_cls:
+            batch.append(SequenceSample(3, [], [7], 1000, [1001]))
+        got = assemble_batch_inputs(batch, embs, params, cfg, SURFACES)
+        ref = _assemble_per_sample(batch, embs, params, cfg, SURFACES)
+        assert got.tokens.shape[1] == cfg.max_seq_len + use_cls  # truncated history
+        for field in dataclasses.fields(BatchAssembly):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+    def test_missing_post_named_in_a_batch(self, setup):
+        cfg, embs, params, samples = setup
+        s = SequenceSample(1, [HistoryItem(999, 0, "feed", 10)], [7], 1000, [1001])
+        with pytest.raises(KeyError, match="999"):
+            assemble_batch_inputs(samples + [s], embs, params, cfg, SURFACES)
+
+
+def test_encode_user_vectors_keeps_one_chunk_alive():
+    """Encoding a second chunk must not hold the first chunk's forward cache."""
+    cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, max_seq_len=16,
+                        dropout=0.0, pooling="last", d_ff=32, n_surfaces=2)
+    embs = random_embeddings(80, 16, seed=4)
+    params = init_params(cfg, seed=3)
+    samples = make_samples(128, (16,), 80, seed=6)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            encode_user_vectors(samples[:n], embs, params, cfg, SURFACES, chunk=64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(64), peak(128)
+    assert two < 1.5 * one, (one, two)
 
 
 class TestEncodeSequence:

@@ -22,7 +22,7 @@ MAX_REL_ERR = 1e-4
 def loss_and_grads(params, embs, samples, enc_cfg, loss_cfg):
     asm = assemble_batch_inputs(samples, embs, params, enc_cfg, SURFACES)
     hidden, user_vec, cache = encode_batch(asm, params, enc_cfg, train=False)
-    short_res, d_hidden = short_term_loss(hidden, asm, samples, embs, loss_cfg,
+    short_res, d_hidden = short_term_loss(hidden, samples, embs, loss_cfg,
                                           enc_cfg.max_seq_len, enc_cfg.use_cls, 0)
     long_res, d_user = long_term_loss(user_vec, samples, embs, loss_cfg, 1)
     loss = total_loss(short_res.loss, long_res.loss, loss_cfg)

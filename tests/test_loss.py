@@ -6,7 +6,7 @@ import pytest
 from seqrec.configs import EncoderConfig, LossConfig
 from seqrec.encoder import assemble_batch_inputs, encode_batch, init_params
 from seqrec.loss import (
-    build_pool, long_term_loss, sample_negatives, scaled_cross_entropy,
+    _ce_terms, build_pool, long_term_loss, sample_negatives, scaled_cross_entropy,
     short_term_loss, total_loss,
 )
 from seqrec.samples import HistoryItem, SequenceSample
@@ -81,7 +81,7 @@ class TestShortTermLoss:
         cfg, embs, params = model_setup
         samples = make_samples(1, (4,), 60, seed=1)
         asm, hidden, _ = _hidden_for(samples, cfg, embs, params)
-        res, d_hidden = short_term_loss(hidden, asm, samples, embs, LossConfig(),
+        res, d_hidden = short_term_loss(hidden, samples, embs, LossConfig(),
                                         cfg.max_seq_len, cfg.use_cls)
         assert res.loss == 0.0
         assert np.all(d_hidden == 0.0)
@@ -93,7 +93,7 @@ class TestShortTermLoss:
         ids = [{h.post_id for h in s.history} for s in samples]
         assert not (ids[0] & ids[1])
         asm, hidden, _ = _hidden_for(samples, cfg, embs, params)
-        res, _ = short_term_loss(hidden, asm, samples, embs, LossConfig(),
+        res, _ = short_term_loss(hidden, samples, embs, LossConfig(),
                                  cfg.max_seq_len, cfg.use_cls)
         assert res.n_terms == 2
         pool = build_pool([[h.post_id for h in s.history] for s in samples], embs)
@@ -109,7 +109,7 @@ class TestShortTermLoss:
         samples = make_samples(16, (8,), 400, seed=9)
         asm, hidden, _ = _hidden_for(samples, cfg, embs, params)
         lcfg = LossConfig(scale=2.0)
-        res, _ = short_term_loss(hidden, asm, samples, embs, lcfg,
+        res, _ = short_term_loss(hidden, samples, embs, lcfg,
                                  cfg.max_seq_len, cfg.use_cls)
         pool = build_pool([[h.post_id for h in s.history] for s in samples], embs)
         own_per_user = pool.owners[0].sum()
@@ -196,7 +196,7 @@ class TestCoreMatchesReference:
         cfg, embs, params = model_setup
         samples = _shared_post_batch()
         asm, hidden, _ = _hidden_for(samples, cfg, embs, params)
-        res, _ = short_term_loss(hidden, asm, samples, embs, LossConfig(),
+        res, _ = short_term_loss(hidden, samples, embs, LossConfig(),
                                  cfg.max_seq_len, cfg.use_cls)
         anchors = [[unit(hidden[b, t + 1]) for t in range(len(s.history) - 1)]
                    for b, s in enumerate(samples)]
@@ -217,6 +217,76 @@ class TestCoreMatchesReference:
         ref = _reference_mean(anchors, targets, targets, embs, lcfg.scale)
         assert res.n_terms == 8
         assert abs(res.loss - ref) < 1e-12
+
+
+def _ce_terms_reference(anchors, pos_vecs, pool, row_of_anchor, s):
+    """The core with a gathered (Na, Np) mask, np.where and a concatenated positive."""
+    na = anchors.shape[0]
+    pos_logit = s * np.sum(anchors * pos_vecs, axis=1)
+    neg_logits = s * (anchors @ pool.vectors.T)
+    neg_logits = np.where(pool.owners[row_of_anchor], -np.inf, neg_logits)
+    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    z = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - pos_logit))
+    p = e / z
+    d_anchor = (p[:, 0:1] - 1.0) * pos_vecs + p[:, 1:] @ pool.vectors
+    d_anchor *= s / na
+    return loss, d_anchor
+
+
+class TestCoreBitEquality:
+    """The in-place core returns the reference formulation's exact bytes."""
+
+    EMBS = random_embeddings(300, 32, seed=21)
+
+    def _case(self, owned, rows, seed=0):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        anchors = unit_rows(rng.standard_normal((len(rows), 32)))
+        pos_vecs = self.EMBS.gather(rng.integers(300, size=len(rows)))
+        return anchors, pos_vecs, build_pool(owned, self.EMBS), np.array(rows, dtype=np.int64)
+
+    def _owned(self, n_rows, per_row, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [rng.choice(300, size=per_row, replace=False).tolist() for _ in range(n_rows)]
+
+    def _assert_same_bytes(self, anchors, pos_vecs, pool, rows, s=16.0):
+        loss, d_anchor = _ce_terms(anchors, pos_vecs, pool, rows, s)
+        ref_loss, ref_d = _ce_terms_reference(anchors, pos_vecs, pool, rows, s)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert d_anchor.shape == ref_d.shape
+        assert d_anchor.tobytes() == ref_d.tobytes()
+        return loss
+
+    def test_full_pool(self):
+        rows = [b for b in range(8) for _ in range(30)]
+        self._assert_same_bytes(*self._case(self._owned(8, 31, seed=1), rows))
+
+    def test_sampled_pool(self):
+        anchors, pos_vecs, pool, rows = self._case(self._owned(6, 20, seed=2),
+                                                   [0, 0, 1, 2, 2, 2, 3, 4, 5, 5])
+        self._assert_same_bytes(anchors, pos_vecs, sample_negatives(pool, 40, seed=3), rows)
+
+    def test_row_without_anchors(self):
+        self._assert_same_bytes(*self._case(self._owned(4, 10, seed=4), [0, 0, 0, 2, 3, 3]))
+
+    def test_row_owning_every_column(self):
+        owned = self._owned(3, 12, seed=5)
+        owned[1] = sorted(set().union(*owned))
+        anchors, pos_vecs, pool, rows = self._case(owned, [0, 1, 1, 2])
+        assert pool.owners[1].all()
+        self._assert_same_bytes(anchors, pos_vecs, pool, rows)
+
+    def test_empty_pool(self):
+        anchors, pos_vecs, pool, rows = self._case([[], []], [0, 1, 1])
+        assert len(pool) == 0
+        assert self._assert_same_bytes(anchors, pos_vecs, pool, rows) == 0.0
+
+    def test_rows_must_not_decrease(self):
+        anchors, pos_vecs, pool, _ = self._case(self._owned(3, 5, seed=6), [0, 1, 2])
+        with pytest.raises(ValueError, match="grouped by batch row"):
+            _ce_terms(anchors, pos_vecs, pool, np.array([0, 2, 1]), 16.0)
 
 
 class TestTotalLoss:
@@ -282,6 +352,6 @@ def test_full_pool_equals_sampled_at_full_k(model_setup):
     full = LossConfig(neg_mode="full_pool")
     pool_size = len(build_pool([[h.post_id for h in s.history] for s in samples], embs))
     sampled = LossConfig(neg_mode="sampled", neg_sample_k=pool_size)
-    r1, _ = short_term_loss(hidden, asm, samples, embs, full, cfg.max_seq_len, cfg.use_cls)
-    r2, _ = short_term_loss(hidden, asm, samples, embs, sampled, cfg.max_seq_len, cfg.use_cls)
+    r1, _ = short_term_loss(hidden, samples, embs, full, cfg.max_seq_len, cfg.use_cls)
+    r2, _ = short_term_loss(hidden, samples, embs, sampled, cfg.max_seq_len, cfg.use_cls)
     assert r1.loss == r2.loss

@@ -179,6 +179,19 @@ class TestRefreshUsers:
         served = sim.user_store.get(uid).vector.astype(np.float64)
         assert np.max(np.abs(served - offline_vec)) < 1e-7
 
+    def test_snapshot_gather_matches_vector(self, sim_world):
+        from seqrec.serving import _SnapshotEmbeddings
+        sim, _ = make_sim(sim_world)
+        sim.bootstrap_posts(day=8)
+        snap = sim.post_store.snapshot()[1]
+        embs = _SnapshotEmbeddings(snap, sim.enc_cfg.d_model)
+        ids = sorted(snap)[:5] + sorted(snap)[:2]
+        got = embs.gather(ids)
+        assert got.tobytes() == np.stack([embs.vector(pid) for pid in ids]).tobytes()
+        assert embs.gather([]).shape == (0, sim.enc_cfg.d_model)
+        with pytest.raises(KeyError, match="987654"):
+            embs.gather(ids[:1] + [987654])
+
 
 class TestRetrieve:
     def _ready_sim(self, sim_world, day=10):

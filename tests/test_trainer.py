@@ -131,7 +131,7 @@ class TestTrainStep:
             from seqrec.loss import long_term_loss, short_term_loss, total_loss
             asm = assemble_batch_inputs(batch, embs, tower.params, tower.enc_cfg, SURFACES)
             hidden, user_vec, _ = encode_batch(asm, tower.params, tower.enc_cfg, train=False)
-            s, _ = short_term_loss(hidden, asm, batch, embs, loss_cfg,
+            s, _ = short_term_loss(hidden, batch, embs, loss_cfg,
                                    tower.enc_cfg.max_seq_len, tower.enc_cfg.use_cls, 0)
             l, _ = long_term_loss(user_vec, batch, embs, loss_cfg, 1)
             return total_loss(s.loss, l.loss, loss_cfg)
