@@ -52,6 +52,12 @@ class SystemExit1(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _load_sections(path) -> dict:
     if path is None:
         return {}
@@ -292,7 +298,7 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--checkpoint", type=Path, required=True)
     sp.add_argument("--embeddings", type=Path, default=None)
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--k", type=_positive_int, default=10)
 
     sp = sub.add_parser("experiment", help="run a deployment experiment")
     sp.add_argument("which", choices=["staleness", "temporal-decay"])
@@ -307,7 +313,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--checkpoint", type=Path, required=True)
     sp.add_argument("--days", type=int, default=3)
     sp.add_argument("--queries-per-day", type=int, default=5)
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--k", type=_positive_int, default=10)
     sp.add_argument("--threshold", type=float, default=-1.0)
 
     sp = sub.add_parser("sweep", help="sequence-length / layer-count sweep")

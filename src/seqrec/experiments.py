@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .configs import EncoderConfig, LossConfig, TrainConfig
-from .metrics import EvalReport
+from .metrics import EvalReport, top_k_columns
 from .pipeline import PipelineData, alive_corpus
 from .samples import HistoryItem, SequenceSample, events_by_user
 from .trainer import UserTower, train
@@ -36,17 +36,13 @@ def _knn_hits_excluding_seen(user_vecs: np.ndarray, target_sets: list,
     by the very posts they were computed from.
     """
     col = {int(pid): i for i, pid in enumerate(corpus_ids)}
+    hidden = [(row, col[int(pid)]) for row, seen in enumerate(seen_sets)
+              for pid in seen if int(pid) in col]
     scores = user_vecs @ corpus_vecs.T
-    hits = 0
-    for row, (targets, seen) in enumerate(zip(target_sets, seen_sets)):
-        s = scores[row].copy()
-        for pid in seen:
-            i = col.get(int(pid))
-            if i is not None:
-                s[i] = -np.inf
-        order = np.lexsort((corpus_ids, -s))[:k]
-        if set(targets) & {int(corpus_ids[i]) for i in order}:
-            hits += 1
+    scores[[r for r, _ in hidden], [c for _, c in hidden]] = -np.inf
+    top = corpus_ids[top_k_columns(scores, corpus_ids, k)]
+    hits = sum(1 for targets, row in zip(target_sets, top)
+               if set(targets) & set(row.tolist()))
     return EvalReport(metric="knn_hits", k=k, hits=hits, n_queries=len(target_sets))
 
 

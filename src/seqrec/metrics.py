@@ -2,9 +2,9 @@
 
 Reported values are always the exact ratio hits/n_queries; the integer counts
 travel with every report so downstream aggregation never accumulates float
-error. Ties are broken optimistically for the true item in the batch metric
-and by ascending post id in the KNN ranking (a total order shared with the
-serving path).
+error. Ties are broken optimistically for the true item in the batch metric;
+every offline corpus ranking (KNN, the experiments) is `top_k_columns`, the
+(-score, ascending post id) total order that serving retrieve also keeps.
 """
 from __future__ import annotations
 
@@ -60,12 +60,23 @@ def batch_hits_at_k(user_vecs: np.ndarray, post_vecs: np.ndarray, k: int) -> flo
     return float((diagonal_ranks(user_vecs, post_vecs) < k).sum()) / b
 
 
+def top_k_columns(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Each row's top-k column indices of a (Q, N) score matrix, best first.
+
+    Columns rank by (-score, ascending id), so equal scores never leave the
+    order open. A row has min(k, N) entries.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    order = np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)
+    return order[:, :k]
+
+
 def knn_top_ids(query_vec: np.ndarray, corpus_ids: np.ndarray,
                 corpus_vecs: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k corpus ids by cosine for one query; ties -> ascending id."""
     scores = corpus_vecs @ query_vec
-    order = np.lexsort((corpus_ids, -scores))
-    return corpus_ids[order[:k]]
+    return corpus_ids[top_k_columns(scores[None, :], corpus_ids, k)[0]]
 
 
 def knn_hits_at_k(user_vecs: np.ndarray, target_id_sets: list,
@@ -73,16 +84,16 @@ def knn_hits_at_k(user_vecs: np.ndarray, target_id_sets: list,
     """Per-user exact brute-force KNN over the corpus; hit iff any target id
     lands in the top k. Every target id must exist in the corpus."""
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
-    known = set(corpus_ids.tolist())
-    hits = 0
-    for row, targets in enumerate(target_id_sets):
-        targets = {int(t) for t in targets}
-        missing = targets - known
-        if missing:
-            raise KeyError(f"targets missing from corpus: {sorted(missing)}")
-        top = knn_top_ids(user_vecs[row], corpus_ids, corpus_vecs, k)
-        if targets & set(top.tolist()):
-            hits += 1
+    target_id_sets = [{int(t) for t in targets} for targets in target_id_sets]
+    missing = set().union(*target_id_sets) - set(corpus_ids.tolist())
+    if missing:
+        raise KeyError(f"targets missing from corpus: {sorted(missing)}")
+    scores = np.empty((len(target_id_sets), len(corpus_ids)))
+    for row in range(len(scores)):
+        scores[row] = corpus_vecs @ user_vecs[row]    # knn_top_ids' scores, bit for bit
+    top = corpus_ids[top_k_columns(scores, corpus_ids, k)]
+    hits = sum(1 for targets, row in zip(target_id_sets, top)
+               if targets & set(row.tolist()))
     return EvalReport(metric="knn_hits", k=k, hits=hits, n_queries=len(target_id_sets))
 
 

@@ -121,10 +121,12 @@ def load_pipeline(world_dir, resolved: dict, embeddings_path=None) -> PipelineDa
 
 def alive_corpus(posts: list, embeddings: EmbeddingSet,
                  day_from: int, day_to: int) -> tuple[list, "object"]:
-    """Ids + vectors of non-flagged posts alive on any day in [day_from, day_to]."""
+    """Ids + vectors of non-flagged posts alive on any day in [day_from, day_to].
+
+    A post created by day_to is alive in the window iff it is alive on the
+    window's first day it exists, so `Post.alive_on` stays the one rule."""
     ids = [p.post_id for p in posts
            if not p.integrity_violating
-           and p.created_at < day_to + 1
-           and p.created_at + p.lifetime_days > day_from
+           and p.created_at <= day_to and p.alive_on(max(p.created_at, day_from))
            and p.post_id in embeddings]
     return ids, embeddings.gather(ids)

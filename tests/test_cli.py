@@ -116,6 +116,16 @@ class TestTrainEvalPipeline:
             else:
                 assert replayed[key] == val
 
+    @pytest.mark.parametrize("command,k", [("eval", "-1"), ("eval", "0"),
+                                           ("serve-sim", "0")])
+    def test_nonpositive_k_is_usage_error(self, tmp_path, world_cfg, world_dir,
+                                          trained, command, k):
+        rc = main([command, "--config", str(world_cfg), "--world", str(world_dir),
+                   "--checkpoint", str(trained / "checkpoint.ckpt"),
+                   "--k", k, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+
     def test_serve_sim_runs(self, tmp_path, world_cfg, world_dir, trained):
         out = tmp_path / "serve"
         rc = main(["serve-sim", "--config", str(world_cfg), "--world", str(world_dir),

@@ -125,6 +125,14 @@ class TestKnnHits:
         top = knn_top_ids(np.array([1.0, 0.0]), ids, corpus, 2)
         assert top.tolist() == [10, 30]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected(self, k):
+        vecs = unit_rows(np.random.default_rng(0).standard_normal((4, 3)))
+        with pytest.raises(ValueError, match="k must be positive"):
+            knn_top_ids(vecs[0], np.arange(4), vecs, k)
+        with pytest.raises(ValueError, match="k must be positive"):
+            knn_hits_at_k(vecs, [[0]] * 4, np.arange(4), vecs, k)
+
 
 class TestReports:
     def test_value_is_exact_ratio(self):
