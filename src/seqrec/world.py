@@ -16,6 +16,11 @@ Generation is deterministic given (config, seed) and is structured per user:
 every user stream draws from an independent child RNG, so no user's stream
 depends on any other's. All outputs are order-normalized (user_id, then
 timestamp).
+
+A user-day's actions and surfaces come from one ``rng.random(2 * n)`` call
+rather than one ``rng.choice(p=...)`` per action and per surface. They repeat
+``Generator.choice``'s own CDF rule (`_choice_indices`), so every PCG64 stream,
+and hence every world, stays identical to the per-event form.
 """
 from __future__ import annotations
 
@@ -88,8 +93,13 @@ class WorldBundle:
         return {p.post_id: p for p in self.posts}
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, bit for bit, without its overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -104,13 +114,13 @@ def _jittered_unit(center: np.ndarray, jitter: float, rng: np.random.Generator) 
     ambient dimension.
     """
     noise = rng.standard_normal(center.shape[0])
-    noise /= np.linalg.norm(noise)
+    noise /= _norm(noise)
     return _unit(center + jitter * noise)
 
 
 def _rotate_towards(v: np.ndarray, target: np.ndarray, step: float) -> np.ndarray:
     """Rotate unit vector v towards unit vector target by `step` radians (slerp)."""
-    cos_t = float(np.clip(np.dot(v, target), -1.0, 1.0))
+    cos_t = min(1.0, max(-1.0, float(np.dot(v, target))))
     theta = math.acos(cos_t)
     if theta <= step or theta < 1e-9:
         return target.copy()
@@ -156,6 +166,11 @@ def _pick_center(rng: np.random.Generator, prior: np.ndarray, n_topics: int,
     if rng.random() < concentration:
         return int(prior[rng.integers(len(prior))])
     return int(rng.integers(n_topics))
+
+
+# ActionType members by value, and the surface shares in `surfaces` order.
+_ACTIONS = tuple(ActionType)
+_SURFACE_SHARES = np.array([0.7, 0.2, 0.1])
 
 
 def _action_tables(cfg: DatasetConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -256,20 +271,34 @@ def _drift_goal(centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _jittered_unit(centers[int(rng.integers(centers.shape[0]))], 0.15, rng)
 
 
+def _choice_indices(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index ``Generator.choice(len(row), p=row)`` returns for uniform u.
+
+    Repeats numpy's own rule: cumulative sum, divide by the last entry, then
+    ``searchsorted(side="right")``, which for a non-decreasing CDF is the count
+    of entries <= u. ``p`` is one row shared by every u, or one row per u, so
+    a single ``rng.random(n)`` draws the same numbers as n choice calls.
+    """
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= u[:, None]).sum(axis=-1)
+
+
 def _user_stream(cfg: DatasetConfig, user: UserProfile, user_lang_code: int,
-                 rng: np.random.Generator, centers: np.ndarray,
-                 topics: np.ndarray, lang_codes: np.ndarray,
-                 elig_by_day: list, post_ids: np.ndarray,
-                 high_dist: np.ndarray, low_dist: np.ndarray) -> list:
+                 rng: np.random.Generator, centers: np.ndarray, days: list,
+                 post_ids: np.ndarray, high_dist: np.ndarray, low_dist: np.ndarray,
+                 surface_p: np.ndarray) -> list:
     """Generate one user's full event stream. Pure per-user given shared post data.
+
+    ``days[d]`` holds day d's eligible post indices, their topic rows and the
+    language-match bias per language code (see `_build_pass`).
 
     Interest drift migrates each affinity component towards another topic
     center (never into off-manifold space), so drifting users stay coherent
     consumers whose taste moves between topics.
     """
-    events = []
     if user.activity_rate <= 0:
-        return events
+        return []
     aff = user.affinity_vectors.copy()
     weights = user.affinity_weights
     k = aff.shape[0]
@@ -281,13 +310,13 @@ def _user_stream(cfg: DatasetConfig, user: UserProfile, user_lang_code: int,
         session_rate = float(np.clip(rng.uniform(cfg.session_rate - 0.25,
                                                  cfg.session_rate + 0.25),
                                      0.15, 1.0))
-    engaged: set[int] = set()
-    surf_idx = np.arange(len(cfg.surfaces))
-    surf_p = np.array([0.7, 0.2, 0.1])[: len(cfg.surfaces)]
-    surf_p = surf_p / surf_p.sum()
-    actions = np.arange(len(ActionType))
+    engaged = np.zeros(post_ids.size, dtype=bool)   # users never re-engage a post
+    any_engaged = False
+    sharpness, pivot = cfg.action_signal_sharpness, cfg.action_signal_pivot
+    # Each active day's draws; actions, surfaces and events are built at the end.
+    picked_days, ts_days, q_best_days, u_days = [], [], [], []
 
-    for day in range(cfg.days):
+    for day, (elig, elig_topics, lang_bias) in enumerate(days):
         if user.drift_rate > 0:
             for i in range(k):
                 aff[i] = _rotate_towards(aff[i], targets[i], user.drift_rate)
@@ -307,48 +336,56 @@ def _user_stream(cfg: DatasetConfig, user: UserProfile, user_lang_code: int,
             n_ev = int(rng.poisson(rate))
         if n_ev == 0:
             continue
-        elig = elig_by_day[day]
         if elig.size == 0:
             continue
-        cos = aff @ topics[elig].T                       # (k, E)
+        logits = aff @ elig_topics.T                     # (k, E) cosines
         sharp = cfg.affinity_strength
         if day - user.start_day < cfg.newuser_days:
             sharp *= cfg.newuser_topic_damp  # fresh accounts lean on the popular feed
-        logits = sharp * cos
-        logits += np.where(lang_codes[elig] == user_lang_code, math.log(cfg.lang_match_boost), 0.0)
+        logits *= sharp
+        logits += lang_bias[user_lang_code]
         logits -= logits.max(axis=1, keepdims=True)
-        p_comp = np.exp(logits)
+        p_comp = np.exp(logits, out=logits)
         p_comp /= p_comp.sum(axis=1, keepdims=True)
         p = weights @ p_comp                             # mixture over components
-        p = (1.0 - cfg.exploration) * p + cfg.exploration / elig.size
-        if engaged:
-            hit = np.isin(elig, np.fromiter(engaged, dtype=np.int64), assume_unique=False)
-            p[hit] = 0.0
+        p *= 1.0 - cfg.exploration
+        p += cfg.exploration / elig.size
+        if any_engaged:
+            p[engaged[elig]] = 0.0
             total = p.sum()
             if total <= 0:
                 continue
             p /= total
-        n_ev = min(n_ev, int((p > 0).sum()))
+        n_ev = min(n_ev, np.count_nonzero(p > 0))
         if n_ev == 0:
             continue
         chosen = rng.choice(elig.size, size=n_ev, replace=False, p=p)
-        offsets = np.sort(rng.choice(SECONDS_PER_DAY, size=n_ev, replace=False))
-        q_best = (aff @ topics[elig[chosen]].T).max(axis=0)  # closeness that drives the action
-        for j in range(n_ev):
-            idx = int(elig[chosen[j]])
-            engaged.add(idx)
-            w_high = 1.0 / (1.0 + math.exp(-cfg.action_signal_sharpness * (q_best[j] - cfg.action_signal_pivot)))
-            dist = w_high * high_dist + (1.0 - w_high) * low_dist
-            action = ActionType(int(rng.choice(actions, p=dist)))
-            surface = cfg.surfaces[int(rng.choice(surf_idx, p=surf_p))]
-            events.append(InteractionEvent(
-                user_id=user.user_id,
-                post_id=int(post_ids[idx]),
-                action=action,
-                surface=surface,
-                ts=int(day) * SECONDS_PER_DAY + int(offsets[j]),
-            ))
-    return events
+        offsets = rng.choice(SECONDS_PER_DAY, size=n_ev, replace=False)
+        offsets.sort()
+        picked = elig[chosen]
+        engaged[picked] = True
+        any_engaged = True
+        picked_days.append(picked)
+        ts_days.append(offsets + day * SECONDS_PER_DAY)
+        # closeness that drives the action
+        q_best_days.append((aff @ elig_topics[chosen].T).max(axis=0))
+        # an action uniform, then a surface uniform, per event: the order in
+        # which one choice call per action and per surface would draw them
+        u_days.append(rng.random(2 * n_ev))
+
+    if not picked_days:
+        return []
+    # math.exp, not np.exp: the two may round differently.
+    w_high = np.array([1.0 / (1.0 + math.exp(-sharpness * (q - pivot)))
+                       for q in np.concatenate(q_best_days).tolist()])
+    dist = w_high[:, None] * high_dist + (1.0 - w_high)[:, None] * low_dist
+    u = np.concatenate(u_days)
+    return [InteractionEvent(user_id=user.user_id, post_id=pid, action=_ACTIONS[a],
+                             surface=cfg.surfaces[s], ts=ts)
+            for pid, a, s, ts in zip(post_ids[np.concatenate(picked_days)].tolist(),
+                                     _choice_indices(dist, u[0::2]).tolist(),
+                                     _choice_indices(surface_p, u[1::2]).tolist(),
+                                     np.concatenate(ts_days).tolist())]
 
 
 def _build_pass(config: DatasetConfig, seed: int, shares: tuple) -> WorldBundle:
@@ -364,21 +401,29 @@ def _build_pass(config: DatasetConfig, seed: int, shares: tuple) -> WorldBundle:
     post_ids = np.array([p.post_id for p in posts], dtype=np.int64)
     lang_to_code = {lang: i for i, lang in enumerate(config.languages)}
     lang_codes = np.array([lang_to_code[p.lang] for p in posts], dtype=np.int64)
-    elig_by_day = []
     created = np.array([p.created_at for p in posts])
     dies = created + np.array([p.lifetime_days for p in posts])
+    # Everything about a day's eligible posts that does not depend on the user.
+    boost = math.log(config.lang_match_boost)
+    days = []
     for day in range(config.days):
-        elig_by_day.append(np.nonzero((created <= day) & (day < dies))[0])
+        elig = np.nonzero((created <= day) & (day < dies))[0]
+        elig_langs = lang_codes[elig]
+        days.append((elig, topics[elig],
+                     [np.where(elig_langs == code, boost, 0.0)
+                      for code in range(len(config.languages))]))
 
     high_dist, low_dist = _action_tables(config)
+    surface_p = _SURFACE_SHARES[: len(config.surfaces)]
+    surface_p = surface_p / surface_p.sum()
     # Independent child seed per user, so each stream depends on its user alone.
     user_seeds = root.spawn(2 + config.users)[2:]
     events = []
     for user, ss in zip(users, user_seeds):
         rng_u = np.random.Generator(np.random.PCG64(ss))
         events.extend(_user_stream(config, user, lang_to_code[user.lang], rng_u,
-                                   centers, topics, lang_codes, elig_by_day,
-                                   post_ids, high_dist, low_dist))
+                                   centers, days, post_ids, high_dist, low_dist,
+                                   surface_p))
     events.sort(key=lambda e: (e.user_id, e.ts, e.post_id))
     return WorldBundle(config=config, seed=seed, posts=posts, users=users,
                        events=events, topic_centers=centers)

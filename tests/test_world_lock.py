@@ -86,6 +86,28 @@ def test_world_files_byte_identical(name, tmp_path, monkeypatch):
     assert got == GOLDEN_SHA256[name]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cdf_draw_repeats_generator_choice(seed):
+    """`_choice_indices` on one `rng.random(n)` picks what n `choice` calls
+    pick and leaves the stream where they leave it. A numpy release that
+    changes `Generator.choice` fails here, not as silently different worlds."""
+    rows = np.random.default_rng(seed)
+    n, width = 300, 9
+    p = rows.random((n, width))
+    p[rows.random((n, width)) < 0.4] = 0.0            # zero entries anywhere
+    p[np.arange(n), rows.integers(width, size=n)] += 0.25
+    p /= p.sum(axis=1, keepdims=True)
+    values = np.arange(width)
+    by_choice, by_cdf = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+
+    want = [int(by_choice.choice(values, p=row)) for row in p]
+    assert world._choice_indices(p, by_cdf.random(n)).tolist() == want
+    shared = p[0]
+    want = [int(by_choice.choice(values, p=shared)) for _ in range(n)]
+    assert world._choice_indices(shared, by_cdf.random(n)).tolist() == want
+    assert by_choice.random() == by_cdf.random()
+
+
 # ---------------------------------------------------------------------------
 # Reference generator: one rng.choice per action and per surface.
 
