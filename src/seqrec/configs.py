@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,7 +83,18 @@ class DatasetConfig:
             raise ValueError("exploration must lie in [0, 1]")
         if self.activity_rate < 0:
             raise ValueError("activity_rate must be non-negative")
+        # The generator draws actions and surfaces from these by CDF lookup,
+        # which accepts a negative or NaN share silently; its surface shares
+        # cover one slot per default surface.
+        if not (math.isfinite(self.timespent_rate) and self.timespent_rate >= 0):
+            raise ValueError(f"timespent_rate must be finite and >= 0 (got {self.timespent_rate})")
+        for name in ("action_signal_sharpness", "action_signal_pivot"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         self.surfaces = tuple(self.surfaces)
+        if not (1 <= len(self.surfaces) <= len(DEFAULT_SURFACES)):
+            raise ValueError(f"surfaces must name 1 to {len(DEFAULT_SURFACES)} surfaces "
+                             f"(got {len(self.surfaces)})")
         self.languages = tuple(self.languages)
         self.countries = tuple(self.countries)
 

@@ -21,21 +21,46 @@ def write_events_jsonl(path, events: list) -> None:
             }, sort_keys=True) + "\n")
 
 
-def read_events_jsonl(path) -> list:
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+def _read_jsonl(path, parse) -> list:
+    """``parse`` every non-blank line's JSON object; a bad line raises a
+    ValueError naming the file and its 1-based line number.
+
+    Lines are read as bytes and decoded one by one, so invalid UTF-8 also
+    fails where the line number is known.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            events.append(InteractionEvent(
-                user_id=int(d["user_id"]),
-                post_id=int(d["post_id"]),
-                action=action_from_name(d["action"]),
-                surface=d["surface"],
-                ts=int(d["ts"]),
-            ))
-    return events
+            try:
+                records.append(parse(json.loads(line.decode("utf-8"))))
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {lineno}: missing field {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    return records
+
+
+def _int_field(d: dict, name: str) -> int:
+    value = d[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _event(d: dict) -> InteractionEvent:
+    return InteractionEvent(
+        user_id=_int_field(d, "user_id"),
+        post_id=_int_field(d, "post_id"),
+        action=action_from_name(d["action"]),
+        surface=d["surface"],
+        ts=_int_field(d, "ts"),
+    )
+
+
+def read_events_jsonl(path) -> list:
+    return _read_jsonl(path, _event)
 
 
 def write_posts_jsonl(path, posts: list) -> None:
@@ -54,23 +79,19 @@ def write_posts_jsonl(path, posts: list) -> None:
             }, sort_keys=True) + "\n")
 
 
+def _post(d: dict) -> Post:
+    return Post(
+        post_id=_int_field(d, "post_id"),
+        created_at=_int_field(d, "created_at"),
+        topic=np.array(d["topic"], dtype=np.float64),
+        text_channel=np.array(d["text_channel"], dtype=np.float64),
+        image_channels=[np.array(img, dtype=np.float64) for img in d["image_channels"]],
+        lang=d["lang"],
+        country=d["country"],
+        lifetime_days=_int_field(d, "lifetime_days"),
+        integrity_violating=bool(d["integrity"]),
+    )
+
+
 def read_posts_jsonl(path) -> list:
-    posts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            posts.append(Post(
-                post_id=int(d["post_id"]),
-                created_at=int(d["created_at"]),
-                topic=np.array(d["topic"], dtype=np.float64),
-                text_channel=np.array(d["text_channel"], dtype=np.float64),
-                image_channels=[np.array(img, dtype=np.float64)
-                                for img in d["image_channels"]],
-                lang=d["lang"],
-                country=d["country"],
-                lifetime_days=int(d["lifetime_days"]),
-                integrity_violating=bool(d["integrity"]),
-            ))
-    return posts
+    return _read_jsonl(path, _post)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,17 @@ class TestUsageErrors:
         rc = main(["train", "--config", str(world_cfg), "--world",
                    str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_truncated_world_file_exit_2(self, tmp_path, world_cfg, world_dir, caplog):
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        events = world / "events.jsonl"
+        events.write_bytes(events.read_bytes()[:-20])
+        rc = main(["train", "--config", str(world_cfg), "--world", str(world),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        n_lines = events.read_bytes().count(b"\n") + 1
+        assert f"{events}, line {n_lines}: " in caplog.text
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 """Synthetic world generator: determinism, invariants, calibration targets."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DatasetConfig(survival_week1=0.1, survival_week2=0.2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("timespent_rate", -0.5), ("timespent_rate", float("nan")),
+        ("timespent_rate", float("inf")), ("action_signal_sharpness", float("nan")),
+        ("action_signal_pivot", float("-inf")), ("surfaces", ()),
+        ("surfaces", ("feed", "groups_tab", "search", "watch")),
+    ])
+    def test_rejects_bad_action_and_surface_shares(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DatasetConfig(**{field: value})
+
 
 class TestDeterminism:
     def test_same_config_seed_identical_streams(self):
@@ -68,6 +80,40 @@ class TestDeterminism:
         posts = read_posts_jsonl(tmp_path / "p1.jsonl")
         write_posts_jsonl(tmp_path / "p2.jsonl", posts)
         assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
+
+
+class TestJsonlReaders:
+    @pytest.mark.parametrize("kind, bad_line, message", [
+        ("events", b'{"action": "like", "post_id": 3, "surf', "Unterminated string"),
+        ("events", b'{"action": "like", "post_id": 3, "surface": "feed", "user_id": 1}',
+         "missing field 'ts'"),
+        ("events", b'{"action": "wave", "post_id": 3, "surface": "feed", "ts": 5, "user_id": 1}',
+         "unknown action type: 'wave'"),
+        ("events", b'{"action": "like", "post_id": 3, "surface": "feed", "ts": 5.5, "user_id": 1}',
+         "ts must be an integer, got 5.5"),
+        ("events", b'{"action": "like", "post_id": 3, "surface": "feed", "ts": "5", "user_id": 1}',
+         "ts must be an integer, got '5'"),
+        ("events", b'[1, 2]', "list indices must be integers"),
+        ("posts", b'{"post_id": 3, "created_at": 0, "lifetime_days": 2, "topic": [0.1, ',
+         "Expecting value"),
+        ("posts", b'{"post_id": 3, "created_at": 0, "lifetime_days": 2}', "missing field"),
+        ("posts", b'{"post_id": 3, "created_at": 0.5}', "created_at must be an integer"),
+        ("posts", b'{"post_id": \xff3}', "can't decode byte 0xff"),
+    ])
+    def test_corrupt_line_names_file_and_line(self, tmp_path, small_bundle, kind,
+                                              bad_line, message):
+        writer, reader, records = {
+            "events": (write_events_jsonl, read_events_jsonl, small_bundle.events),
+            "posts": (write_posts_jsonl, read_posts_jsonl, small_bundle.posts),
+        }[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        writer(path, records[:2])
+        # A blank third line is skipped but still counted; the bad line ends
+        # the file, as a truncated write would.
+        path.write_bytes(path.read_bytes() + b"\n" + bad_line)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ") + ".*"
+                           + re.escape(message)):
+            reader(path)
 
 
 class TestWorldInvariants:
