@@ -20,7 +20,7 @@ from seqrec.pipeline import prepare
 from seqrec.trainer import train
 from seqrec.world import generate_world, measure_week_survival
 
-from conftest import make_samples, random_embeddings, unit_rows
+from helpers import make_samples, random_embeddings, unit_rows
 
 pytestmark = pytest.mark.acceptance
 

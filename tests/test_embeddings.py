@@ -3,7 +3,7 @@ import pytest
 
 from seqrec.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 
-from conftest import random_embeddings, unit_rows
+from helpers import random_embeddings, unit_rows
 
 
 class TestEmbeddingSet:

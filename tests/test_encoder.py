@@ -13,7 +13,7 @@ from seqrec.encoder import (
 )
 from seqrec.samples import HistoryItem, SequenceSample
 
-from conftest import make_samples, random_embeddings
+from helpers import make_samples, random_embeddings
 
 SURFACES = {"feed": 0, "search": 1}
 

@@ -12,7 +12,7 @@ from seqrec.encoder import assemble_batch_inputs, backward_batch, encode_batch, 
 from seqrec.loss import long_term_loss, short_term_loss, total_loss
 from seqrec.optim import clip_by_global_norm, global_norm
 
-from conftest import make_samples, random_embeddings
+from helpers import make_samples, random_embeddings
 
 SURFACES = {"feed": 0, "search": 1}
 FD_STEP = 1e-5

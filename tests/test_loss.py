@@ -11,7 +11,7 @@ from seqrec.loss import (
 )
 from seqrec.samples import HistoryItem, SequenceSample
 
-from conftest import make_samples, random_embeddings, unit_rows
+from helpers import make_samples, random_embeddings, unit_rows
 
 SURFACES = {"feed": 0, "search": 1}
 

@@ -7,7 +7,7 @@ from seqrec.metrics import (
     reports_to_csv, reports_to_json, reports_to_table,
 )
 
-from conftest import unit_rows
+from helpers import unit_rows
 
 
 def full_sort_batch_oracle(user_vecs, post_vecs, k):

@@ -21,7 +21,7 @@ from seqrec.serving import ServingSim
 from seqrec.embeddings import EmbeddingSet
 from seqrec.world import Post, build_world
 
-from conftest import unit_rows
+from helpers import unit_rows
 
 
 # -- the three old forms ----------------------------------------------------

@@ -11,7 +11,7 @@ from seqrec.trainer import (
     init_baseline_params, train, train_step, variant_settings,
 )
 
-from conftest import make_samples, random_embeddings
+from helpers import make_samples, random_embeddings
 
 SURFACES = {"feed": 0, "search": 1}
 
