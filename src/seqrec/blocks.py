@@ -45,10 +45,15 @@ def xavier(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
 
 
 def masked_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis where -inf rows entries become exact zeros."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis where -inf rows entries become exact zeros.
+
+    Computed in place: the float64 `scores` is overwritten with the result,
+    which is returned. Callers pass a temporary they do not read again.
+    """
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
@@ -72,7 +77,9 @@ def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias):
     q = _split_heads(x @ wq, n_heads)
     k = _split_heads(x @ wk, n_heads)
     v = _split_heads(x @ wv, n_heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(d_k) + bias
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores /= math.sqrt(d_k)
+    scores += bias
     attn = masked_softmax(scores)
     ctx = _merge_heads(attn @ v)
     out = ctx @ wo
@@ -106,11 +113,16 @@ def mha_backward(cache, d_out):
 
 
 def ffn_forward(x, w1, b1, w2, b2):
-    """Two-layer ReLU MLP over the last axis: max(0, x W1 + b1) W2 + b2."""
-    pre = x @ w1 + b1
-    act = np.maximum(pre, 0.0)
-    out = act @ w2 + b2
-    return out, dict(x=x, pre=pre, act=act, w1=w1, w2=w2)
+    """Two-layer ReLU MLP over the last axis: max(0, x W1 + b1) W2 + b2.
+
+    The cache keeps only the activation: act > 0 is the mask pre > 0.
+    """
+    act = x @ w1
+    act += b1
+    np.maximum(act, 0.0, out=act)
+    out = act @ w2
+    out += b2
+    return out, dict(x=x, act=act, w1=w1, w2=w2)
 
 
 def ffn_backward(cache, d_out):
@@ -119,7 +131,7 @@ def ffn_backward(cache, d_out):
     d_ff = act.shape[-1]
     d_w2 = act.reshape(-1, d_ff).T @ d_out.reshape(-1, d_out.shape[-1])
     d_b2 = d_out.reshape(-1, d_out.shape[-1]).sum(axis=0)
-    d_act = (d_out @ cache["w2"].T) * (cache["pre"] > 0)
+    d_act = (d_out @ cache["w2"].T) * (act > 0)
     d_w1 = x.reshape(-1, d_in).T @ d_act.reshape(-1, d_ff)
     d_b1 = d_act.reshape(-1, d_ff).sum(axis=0)
     d_x = d_act @ cache["w1"].T
@@ -130,11 +142,15 @@ LN_EPS = 1e-5
 
 
 def layer_norm_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # the centred x serves both var (as np.var computes it: mean of the
+    # squares of x - mean) and xhat
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    out = xhat * gamma + beta
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
     return out, dict(xhat=xhat, inv=inv, gamma=gamma)
 
 

@@ -58,6 +58,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _load_sections(path) -> dict:
     if path is None:
         return {}
@@ -305,14 +311,14 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--checkpoint", type=Path, default=None)
     sp.add_argument("--embeddings", type=Path, default=None)
-    sp.add_argument("--max-days", type=int, default=6)
-    sp.add_argument("--horizon-days", type=int, default=7)
+    sp.add_argument("--max-days", type=_non_negative_int, default=6)
+    sp.add_argument("--horizon-days", type=_positive_int, default=7)
 
     sp = sub.add_parser("serve-sim", help="simulate the serving day loop")
     common(sp)
     sp.add_argument("--checkpoint", type=Path, required=True)
-    sp.add_argument("--days", type=int, default=3)
-    sp.add_argument("--queries-per-day", type=int, default=5)
+    sp.add_argument("--days", type=_positive_int, default=3)
+    sp.add_argument("--queries-per-day", type=_non_negative_int, default=5)
     sp.add_argument("--k", type=_positive_int, default=10)
     sp.add_argument("--threshold", type=float, default=-1.0)
 

@@ -115,46 +115,50 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     d = config.d_model
     cls_extra = 1 if config.use_cls else 0
     hists = [s.history[-config.max_seq_len:] for s in samples]
-    lengths = np.array([len(h) + cls_extra for h in hists], dtype=np.int64)
+    n_hist = np.array([len(h) for h in hists], dtype=np.int64)
+    lengths = n_hist + cls_extra
     if np.any(lengths == 0):
         bad = [samples[i].user_id for i in np.nonzero(lengths == 0)[0]]
         raise ValueError(f"empty history without CLS for users {bad}")
     L = int(lengths.max())
     B = len(samples)
 
-    emb = np.zeros((B, L, d))
-    rel = np.zeros((B, L))
-    pos_ids = np.zeros((B, L), dtype=np.int64)
-    act_ids = np.full((B, L), NULL_ACTION_ID, dtype=np.int64)
-    surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
+    # (row, column) of every real token in (sample, history position) order
+    items = [h for hist in hists for h in hist]
+    rows = np.repeat(np.arange(B), n_hist)
+    cols = np.arange(len(items)) - np.repeat(np.cumsum(n_hist) - n_hist, n_hist) + cls_extra
     is_real = np.zeros((B, L), dtype=bool)
+    is_real[rows, cols] = True
     is_cls = np.zeros((B, L), dtype=bool)
-
-    for b, (sample, hist) in enumerate(zip(samples, hists)):
-        for t, h in enumerate(hist):
-            col = t + cls_extra
-            pos_ids[b, col] = col
-            act_ids[b, col] = h.action_id
-            surf_ids[b, col] = _surface_index(config, surfaces, h.surface)
-            is_real[b, col] = True
-            if config.use_time:
+    is_cls[:, 0] = config.use_cls
+    pos_ids = np.zeros((B, L), dtype=np.int64)
+    pos_ids[rows, cols] = cols
+    act_ids = np.full((B, L), NULL_ACTION_ID, dtype=np.int64)
+    act_ids[rows, cols] = [h.action_id for h in items]
+    surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
+    surf_ids[rows, cols] = [_surface_index(config, surfaces, h.surface) for h in items]
+    rel = np.zeros((B, L))
+    if config.use_time:
+        logs = []
+        for sample, hist in zip(samples, hists):
+            for h in hist:
                 delta = sample.cutoff_time - h.ts
                 if delta < 0:
                     raise ValueError(f"user {sample.user_id}: event after cutoff")
-                rel[b, col] = math.log1p(float(delta))
-        if config.use_cls:
-            is_cls[b, 0] = True
+                logs.append(math.log1p(float(delta)))    # np.log1p may round differently
+        rel[rows, cols] = logs
 
-    # is_real is row-major in (sample, history position) order: one gather fills it
-    emb[is_real] = embeddings.gather([h.post_id for hist in hists for h in hist])
+    emb = np.zeros((B, L, d))
+    emb[is_real] = embeddings.gather([h.post_id for h in items])
     tp_in = np.concatenate([emb, rel[:, :, None] / TIME_LOG_SCALE], axis=2)
-    time_out = tp_in @ params["time_w"] + params["time_b"]
-    tokens = np.where(is_real[:, :, None],
-                      time_out
-                      + params["pos_table"][pos_ids]
-                      + params["action_table"][act_ids]
-                      + params["surface_table"][surf_ids],
-                      0.0)
+    # ((time projection + position) + action) + surface: float addition is not
+    # associative, so this order is part of every token's bytes
+    tokens = tp_in @ params["time_w"]
+    tokens += params["time_b"]
+    tokens += params["pos_table"][pos_ids]
+    tokens += params["action_table"][act_ids]
+    tokens += params["surface_table"][surf_ids]
+    tokens[~is_real] = 0.0
     if config.use_cls:
         tokens[:, 0, :] = params["cls"] + params["pos_table"][0]
     valid = is_real | is_cls
@@ -181,11 +185,15 @@ def assembly_backward(asm: BatchAssembly, d_tokens: np.ndarray, grads: dict) -> 
 
 
 def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
-                 train: bool = False, rng: np.random.Generator | None = None):
+                 train: bool = False, rng: np.random.Generator | None = None,
+                 cache: bool = True):
     """Run the encoder stack; returns (hidden (B,L,d), user_vec (B,d), cache).
 
     user_vec is the pooled, L2-normalized sequence representation. Dropout is
-    active only when train=True and an rng is supplied.
+    active only when train=True and an rng is supplied. With cache=False each
+    layer's backward cache is dropped as soon as the layer is done and the
+    returned cache is None: the same outputs, bit for bit, for callers that
+    never run backward_batch.
     """
     drop_rng = rng if train else None
     rate = config.dropout if train else 0.0
@@ -208,15 +216,20 @@ def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
         ffn_out, m2 = dropout_forward(ffn_out, rate, drop_rng)
         h2, ln2_cache = layer_norm_forward(
             h1 + ffn_out, params[layer_key(i, "ln2_g")], params[layer_key(i, "ln2_b")])
-        layer_caches.append((attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache))
+        if cache:
+            layer_caches.append((attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache))
+        # without backward this layer's caches go before the next one builds its own
+        del attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache
         x = h2
     hidden = x
 
     pooled, pool_cache = _pool_forward(hidden, asm, params, config)
     user_vec, norms = l2_normalize(pooled)
-    cache = dict(asm=asm, in_mask=in_mask, layers=layer_caches,
-                 pool=pool_cache, pooled=pooled, user_vec=user_vec, norms=norms)
-    return hidden, user_vec, cache
+    if not cache:
+        return hidden, user_vec, None
+    return hidden, user_vec, dict(asm=asm, in_mask=in_mask, layers=layer_caches,
+                                  pool=pool_cache, pooled=pooled, user_vec=user_vec,
+                                  norms=norms)
 
 
 def _pool_forward(hidden, asm: BatchAssembly, params, config: EncoderConfig):
@@ -305,7 +318,7 @@ def encode_sequence(sample, embeddings, params: dict, config: EncoderConfig,
                     surfaces: dict | None = None):
     """Encode one sample in eval mode; returns (hidden (L',d), user_vec (d,))."""
     asm = assemble_batch_inputs([sample], embeddings, params, config, surfaces)
-    hidden, user_vec, _ = encode_batch(asm, params, config, train=False)
+    hidden, user_vec, _ = encode_batch(asm, params, config, cache=False)
     L = int(asm.lengths[0])
     return hidden[0, :L], user_vec[0]
 
@@ -318,9 +331,7 @@ def encode_user_vectors(samples: list, embeddings, params: dict,
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
         asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
-        # Keep only the user vectors: holding the whole result would keep this
-        # chunk's backward cache alive while the next chunk builds its own.
-        out[lo:lo + len(part)] = encode_batch(asm, params, config, train=False)[1]
+        out[lo:lo + len(part)] = encode_batch(asm, params, config, cache=False)[1]
     return out
 
 

@@ -2,6 +2,7 @@
 performance over the week after training, and architecture sweeps."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 import time
@@ -56,28 +57,42 @@ def staleness_experiment(tower: UserTower, data: PipelineData,
     user set is fixed across d (history non-empty even at the deepest
     truncation) so the series is comparable point to point.
     """
+    if max_stale_days < 0:
+        raise ValueError(f"max_stale_days must be >= 0, got {max_stale_days}")
     eval_day = data.holdout_start_ts // SECONDS_PER_DAY
     horizon = eval_day + data.eval_holdout_days
     per_user = events_by_user(data.events)
     targets = {s.user_id: s.long_targets[:m_eval] for s in data.eval if s.long_targets}
 
-    deepest = (eval_day - max_stale_days) * SECONDS_PER_DAY
-    users = [uid for uid in sorted(targets)
-             if uid in per_user and any(e.ts < deepest for e in per_user[uid])]
+    # Streams are time-sorted, so each user's pre-holdout items are built once
+    # and every staleness level keeps a prefix of them.
+    past = {uid: [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
+                  for e in per_user[uid] if e.ts < data.holdout_start_ts]
+            for uid in targets if uid in per_user}
+    deepest_day = eval_day - max_stale_days
+    users = [uid for uid in sorted(past)
+             if past[uid] and past[uid][0].ts < deepest_day * SECONDS_PER_DAY]
+    if not users:
+        raise ValueError(f"no eval user has history before day {deepest_day}, the "
+                         f"cutoff at {max_stale_days} stale days")
+    times = {uid: [h.ts for h in past[uid]] for uid in users}
     corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings,
                                            eval_day, horizon - 1)
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     # posts consumed before the holdout can never be served again; the seen set
     # uses the full pre-holdout stream so the candidate pool is identical for
     # every staleness level
-    seen = [{e.post_id for e in per_user[uid] if e.ts < data.holdout_start_ts}
-            for uid in users]
+    seen = [{h.post_id for h in past[uid]} for uid in users]
+    max_len = tower.enc_cfg.max_seq_len
     reports = []
     base_value = None
     for d in range(max_stale_days + 1):
         cutoff_ts = (eval_day - d) * SECONDS_PER_DAY
-        samples = [_history_sample(uid, per_user[uid], cutoff_ts,
-                                   tower.enc_cfg.max_seq_len) for uid in users]
+        samples = []
+        for uid in users:
+            n = bisect.bisect_left(times[uid], cutoff_ts)
+            samples.append(SequenceSample(uid, past[uid][max(0, n - max_len):n], [],
+                                          cutoff_ts))
         user_vecs = tower.eval_user_vectors(samples, data.embeddings)
         rep = _knn_hits_excluding_seen(user_vecs, [targets[uid] for uid in users],
                                        seen, corpus_ids, corpus_vecs, k)
@@ -99,6 +114,8 @@ def temporal_decay_experiment(data: PipelineData, enc_cfg: EncoderConfig,
     targets restricted to a short window. The headline statistic is the
     relative drop from day 1 to day `horizon_days`.
     """
+    if horizon_days < 1:
+        raise ValueError(f"horizon_days must be >= 1, got {horizon_days}")
     if data.eval_holdout_days < horizon_days:
         raise ValueError(f"need a holdout of >= {horizon_days} days")
     eval_day = data.holdout_start_ts // SECONDS_PER_DAY

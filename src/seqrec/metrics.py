@@ -4,7 +4,10 @@ Reported values are always the exact ratio hits/n_queries; the integer counts
 travel with every report so downstream aggregation never accumulates float
 error. Ties are broken optimistically for the true item in the batch metric;
 every offline corpus ranking (KNN, the experiments) is `top_k_columns`, the
-(-score, ascending post id) total order that serving retrieve also keeps.
+(-score, ascending post id) total order that serving retrieve also keeps. It
+partitions each row at its k-th score and sorts only the head, widening the
+head to the whole tie group where one straddles the k-th place, so it keeps
+the rows a full sort would.
 """
 from __future__ import annotations
 
@@ -63,13 +66,29 @@ def batch_hits_at_k(user_vecs: np.ndarray, post_vecs: np.ndarray, k: int) -> flo
 def top_k_columns(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Each row's top-k column indices of a (Q, N) score matrix, best first.
 
-    Columns rank by (-score, ascending id), so equal scores never leave the
-    order open. A row has min(k, N) entries.
+    Columns rank by (-score, ascending id, column), so equal scores never
+    leave the order open. A row has min(k, N) entries. For k < N each row is
+    partitioned to its k-th score first: a row with exactly k scores at or
+    above that score sorts only those k; a row whose tie group straddles the
+    k-th place ranks every column at or above it, so the k kept are the ones a
+    full sort of the row would keep.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    order = np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)
-    return order[:, :k]
+    n = scores.shape[1]
+    if k >= n:
+        return np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)
+    neg = -scores
+    part = np.argpartition(neg, k - 1, axis=-1)
+    kth = np.take_along_axis(neg, part[:, k - 1:k], axis=-1)
+    tied = np.count_nonzero(neg <= kth, axis=-1) > k
+    top = part[:, :k]
+    order = np.lexsort((top, ids[top], np.take_along_axis(neg, top, axis=-1)), axis=-1)
+    out = np.take_along_axis(top, order, axis=-1)
+    for row in np.nonzero(tied)[0]:
+        cand = np.flatnonzero(neg[row] <= kth[row])
+        out[row] = cand[np.lexsort((ids[cand], neg[row, cand]))[:k]]
+    return out
 
 
 def knn_top_ids(query_vec: np.ndarray, corpus_ids: np.ndarray,

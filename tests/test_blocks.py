@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqrec.blocks import (
-    attention_bias, causal_mask, ffn_forward, layer_norm_forward,
-    masked_softmax, mha_forward,
+    LN_EPS, _merge_heads, _split_heads, attention_bias, causal_mask, ffn_backward,
+    ffn_forward, layer_norm_forward, masked_softmax, mha_forward,
 )
 
 
@@ -146,3 +146,95 @@ def test_layer_norm_normalizes_rows():
     out, _ = layer_norm_forward(x, np.ones(8), np.zeros(8))
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-3)
+
+
+# -- the forwards as they were before they ran in place ---------------------
+
+def _masked_softmax_reference(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _mha_forward_reference(x, wq, wk, wv, wo, n_heads, bias):
+    d_k = x.shape[-1] // n_heads
+    q = _split_heads(x @ wq, n_heads)
+    k = _split_heads(x @ wk, n_heads)
+    v = _split_heads(x @ wv, n_heads)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(d_k) + bias
+    attn = _masked_softmax_reference(scores)
+    return _merge_heads(attn @ v) @ wo, attn
+
+
+def _layer_norm_reference(x, gamma, beta):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _ffn_reference(x, w1, b1, w2, b2, d_out):
+    pre = x @ w1 + b1
+    act = np.maximum(pre, 0.0)
+    d_act = (d_out @ w2.T) * (pre > 0)
+    return act @ w2 + b2, d_act @ w1.T
+
+
+class TestForwardBitEquality:
+    """The in-place forwards return the reference forms' exact bytes at the
+    train shape (batch 64) and the eval chunk shape (256), over padded rows."""
+
+    D, L = 64, 33
+
+    def _batch(self, b, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        lengths = rng.integers(1, self.L + 1, size=b)
+        lengths[0] = self.L
+        valid = np.arange(self.L)[None, :] < lengths[:, None]
+        x = rng.standard_normal((b, self.L, self.D)) * 2.0 + 0.5
+        x[~valid] = 0.0                     # pad tokens are zero vectors
+        ws = [rng.standard_normal((self.D, self.D)) / 8 for _ in range(4)]
+        return rng, x, valid, ws
+
+    @pytest.mark.parametrize("b", [64, 256])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("heads", [4, 2])      # sqrt(d_k) = 4 is exact, sqrt(32) is not
+    def test_mha_forward(self, b, causal, heads):
+        _, x, valid, ws = self._batch(b, seed=b)
+        bias = attention_bias(valid, causal)
+        out, cache = mha_forward(x, *ws, heads, bias)
+        ref_out, ref_attn = _mha_forward_reference(x, *ws, heads, bias)
+        assert out.tobytes() == ref_out.tobytes()
+        assert cache["attn"].tobytes() == ref_attn.tobytes()
+        assert np.all(cache["attn"][~np.broadcast_to(valid[:, None, None, :],
+                                                     cache["attn"].shape)] == 0.0)
+
+    def test_masked_softmax(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        scores = rng.standard_normal((64, 4, 33, 33)) * 30.0
+        scores[rng.random(scores.shape) < 0.4] = -np.inf
+        scores[..., 0] = rng.standard_normal(scores.shape[:-1])   # one finite entry per row
+        ref = _masked_softmax_reference(scores)
+        assert masked_softmax(scores.copy()).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("b", [64, 256])
+    def test_layer_norm_forward(self, b):
+        rng, x, _, _ = self._batch(b, seed=b + 1)
+        gamma, beta = rng.standard_normal(self.D), rng.standard_normal(self.D)
+        out, cache = layer_norm_forward(x, gamma, beta)
+        ref_out, ref_xhat, ref_inv = _layer_norm_reference(x, gamma, beta)
+        assert out.tobytes() == ref_out.tobytes()
+        assert cache["xhat"].tobytes() == ref_xhat.tobytes()
+        assert cache["inv"].tobytes() == ref_inv.tobytes()
+
+    @pytest.mark.parametrize("b", [64, 256])
+    def test_ffn_forward_and_relu_mask(self, b):
+        rng, x, _, _ = self._batch(b, seed=b + 2)
+        w1, w2 = rng.standard_normal((self.D, 128)) / 8, rng.standard_normal((128, self.D)) / 8
+        b1, b2 = rng.standard_normal(128), rng.standard_normal(self.D)
+        d_out = rng.standard_normal(x.shape)
+        out, cache = ffn_forward(x, w1, b1, w2, b2)
+        ref_out, ref_dx = _ffn_reference(x, w1, b1, w2, b2, d_out)
+        assert out.tobytes() == ref_out.tobytes()
+        assert ffn_backward(cache, d_out)[0].tobytes() == ref_dx.tobytes()

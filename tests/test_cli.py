@@ -173,6 +173,38 @@ class TestExperimentCommands:
         assert reports[0]["slice"]["drop"] == 0.0
 
 
+class TestDayAndCountFlags:
+    """Day and count flags outside their range are usage errors (exit 1,
+    nothing written); a staleness depth no eval user's history reaches is a
+    runtime failure that names the cutoff day."""
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "staleness", "--max-days", "-1"],
+        ["experiment", "temporal-decay", "--horizon-days", "0"],
+        ["serve-sim", "--days", "0"],
+        ["serve-sim", "--queries-per-day", "-1"],
+    ])
+    def test_out_of_range_is_usage_error(self, tmp_path, world_cfg, world_dir, trained,
+                                         argv):
+        ckpt = [] if "temporal-decay" in argv else [
+            "--checkpoint", str(trained / "checkpoint.ckpt")]
+        rc = main(argv + ["--config", str(world_cfg), "--world", str(world_dir),
+                          *ckpt, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_staleness_beyond_every_history_fails(self, tmp_path, world_cfg, world_dir,
+                                                  trained, caplog):
+        rc = main(["experiment", "staleness", "--config", str(world_cfg),
+                   "--world", str(world_dir),
+                   "--checkpoint", str(trained / "checkpoint.ckpt"),
+                   "--max-days", "50", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        # the world has 12 days and a 2-day holdout: eval starts on day 10
+        assert "no eval user has history before day -40" in caplog.text
+        assert not (tmp_path / "o" / "staleness.json").exists()
+
+
 class TestSweepCommand:
     def test_sweep_seq_len(self, tmp_path, world_cfg, world_dir):
         out = tmp_path / "sweep"

@@ -74,7 +74,8 @@ class TestAssembleInput:
 
 
 def _assemble_per_sample(samples, embeddings, params, config, surfaces):
-    """Reference assembly that gathers each sample's history on its own."""
+    """Reference assembly that gathers each sample's history on its own and
+    stores every id and relative time item by item."""
     d, cls_extra = config.d_model, 1 if config.use_cls else 0
     hists = [s.history[-config.max_seq_len:] for s in samples]
     lengths = np.array([len(h) + cls_extra for h in hists], dtype=np.int64)
@@ -94,7 +95,11 @@ def _assemble_per_sample(samples, embeddings, params, config, surfaces):
             pos_ids[b, col], act_ids[b, col] = col, h.action_id
             surf_ids[b, col] = surfaces.get(h.surface, config.n_surfaces)
             is_real[b, col] = True
-            rel[b, col] = math.log1p(float(sample.cutoff_time - h.ts))
+            if config.use_time:
+                delta = sample.cutoff_time - h.ts
+                if delta < 0:
+                    raise ValueError(f"user {sample.user_id}: event after cutoff")
+                rel[b, col] = math.log1p(float(delta))
         is_cls[b, 0] = config.use_cls
     tp_in = np.concatenate([emb, rel[:, :, None] / TIME_LOG_SCALE], axis=2)
     tokens = np.where(is_real[:, :, None],
@@ -114,18 +119,32 @@ class TestBatchedGather:
     @pytest.mark.parametrize("use_cls", [True, False])
     def test_equals_per_sample_assembly(self, setup, use_cls):
         cfg, embs, params, samples = setup
-        cfg = dataclasses.replace(cfg, use_cls=use_cls)
-        long_hist = [HistoryItem(i, i % 9, "search", 100 + i) for i in range(10)]
+        long_hist = [HistoryItem(i, i % 9, ("search", "elsewhere", None)[i % 3], 100 + i)
+                     for i in range(10)]
         batch = samples + [SequenceSample(2, long_hist, [20], 1000, [1001])]
         if use_cls:
             batch.append(SequenceSample(3, [], [7], 1000, [1001]))
-        got = assemble_batch_inputs(batch, embs, params, cfg, SURFACES)
-        ref = _assemble_per_sample(batch, embs, params, cfg, SURFACES)
-        assert got.tokens.shape[1] == cfg.max_seq_len + use_cls  # truncated history
-        for field in dataclasses.fields(BatchAssembly):
-            a, b = getattr(got, field.name), getattr(ref, field.name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
-            assert a.tobytes() == b.tobytes(), field.name
+        for use_time in (True, False):
+            cfg = dataclasses.replace(cfg, use_cls=use_cls, use_time=use_time)
+            got = assemble_batch_inputs(batch, embs, params, cfg, SURFACES)
+            ref = _assemble_per_sample(batch, embs, params, cfg, SURFACES)
+            assert got.tokens.shape[1] == cfg.max_seq_len + use_cls  # truncated history
+            for field in dataclasses.fields(BatchAssembly):
+                a, b = getattr(got, field.name), getattr(ref, field.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                assert a.tobytes() == b.tobytes(), field.name
+
+    def test_event_after_cutoff_names_the_first_user(self, setup):
+        cfg, embs, params, samples = setup
+        late = [SequenceSample(uid, [HistoryItem(1, 0, "feed", 50), HistoryItem(2, 0, "feed", 90)],
+                               [7], 80, [81]) for uid in (41, 42)]
+        batch = samples[:2] + late
+        with pytest.raises(ValueError, match="user 41: event after cutoff"):
+            _assemble_per_sample(batch, embs, params, cfg, SURFACES)
+        with pytest.raises(ValueError, match="user 41: event after cutoff"):
+            assemble_batch_inputs(batch, embs, params, cfg, SURFACES)
+        no_time = dataclasses.replace(cfg, use_time=False)
+        assert assemble_batch_inputs(batch, embs, params, no_time, SURFACES).tokens.shape[0] == 4
 
     def test_missing_post_named_in_a_batch(self, setup):
         cfg, embs, params, samples = setup
@@ -152,6 +171,54 @@ def test_encode_user_vectors_keeps_one_chunk_alive():
 
     one, two = peak(64), peak(128)
     assert two < 1.5 * one, (one, two)
+
+
+def test_cache_free_forward_peaks_lower():
+    """One 64-row chunk: the forward that drops each layer's cache as it goes
+    peaks well below the one that keeps every cache for backward."""
+    cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, max_seq_len=16,
+                        dropout=0.0, pooling="last", d_ff=32, n_surfaces=2)
+    embs = random_embeddings(80, 16, seed=4)
+    params = init_params(cfg, seed=3)
+    samples = make_samples(64, (16,), 80, seed=6)
+
+    def peak(cache):
+        tracemalloc.start()
+        try:
+            asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
+            result = encode_batch(asm, params, cfg, cache=cache)
+            assert (result[2] is None) == (not cache)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cached, free = peak(True), peak(False)
+    assert free < 0.75 * cached, (free, cached)
+
+
+class TestCacheFreeForward:
+    """encode_batch(cache=False) and its two callers return the cached
+    forward's exact bytes."""
+
+    @pytest.mark.parametrize("pooling", ["last", "mean", "sum", "attention"])
+    def test_same_bytes_as_cached(self, setup, pooling):
+        cfg, embs, _, samples = setup
+        cfg = dataclasses.replace(cfg, pooling=pooling)
+        params = init_params(cfg, seed=1)
+        asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
+        hidden, user_vec, cache = encode_batch(asm, params, cfg, train=False)
+        hidden2, user_vec2, none = encode_batch(asm, params, cfg, cache=False)
+        assert none is None and cache["user_vec"] is user_vec
+        assert hidden2.tobytes() == hidden.tobytes()
+        assert user_vec2.tobytes() == user_vec.tobytes()
+        vecs = encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=len(samples))
+        assert vecs.tobytes() == user_vec.tobytes()
+        for s in samples:
+            one = assemble_batch_inputs([s], embs, params, cfg, SURFACES)
+            h_ref, u_ref, _ = encode_batch(one, params, cfg, train=False)
+            h, u = encode_sequence(s, embs, params, cfg, SURFACES)
+            assert h.tobytes() == h_ref[0, :int(one.lengths[0])].tobytes()
+            assert u.tobytes() == u_ref[0].tobytes()
 
 
 class TestEncodeSequence:

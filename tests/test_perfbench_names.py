@@ -1,8 +1,19 @@
 """The benchmark's traced mode patches seqrec functions by name and its phases
-import seqrec names; a rename that would break it fails here first."""
+import seqrec names; a rename that would break it fails here first. Its
+attribute readers take values from fixed argument positions and result
+fields, so a signature change that would break them fails here too."""
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from seqrec.configs import EncoderConfig, LossConfig, TrainConfig
+from seqrec.encoder import init_params
+from seqrec.optim import Adam
+from seqrec.trainer import UserTower, train_step
+
+from helpers import make_samples, random_embeddings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +45,33 @@ def test_every_imported_seqrec_name_resolves():
     missing = [entry for entry in imported
                if not hasattr(importlib.import_module(entry[1]), entry[2])]
     assert missing == []
+
+
+def test_attribute_readers_see_the_arguments_they_expect(monkeypatch):
+    """One traced train step and one eval encode: every reader records the
+    value its argument positions should give, e.g. _attn_bytes reads x and
+    n_heads as mha_forward's args 0 and 5."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    phases = importlib.import_module("seqbench.phases")
+    tracer = importlib.import_module("seqbench.tracer")
+    enc = EncoderConfig(d_model=8, n_heads=2, n_layers=2, max_seq_len=5,
+                        dropout=0.1, pooling="last", d_ff=16, n_surfaces=2)
+    embs = random_embeddings(60, 8, seed=1)
+    tower = UserTower("transformer", init_params(enc, seed=1), enc, {"feed": 0, "search": 1})
+    batch = make_samples(4, (5, 3, 2, 4), 60, seed=2)
+    tr = tracer.Tracer()
+    with tracer.install(tr, phases.TRAIN_WRAPS + phases.EVAL_WRAPS):
+        train_step(tower, Adam(tower.params, lr=1e-3), batch, embs,
+                   TrainConfig(batch_size=4), LossConfig(m=2), epoch=0, step=0)
+        tower.eval_user_vectors(batch[:3], embs)
+    attrs = {}
+    for span in tr.spans:
+        attrs.setdefault(span.name, []).append(span.attrs)
+    b, l = 4, 5 + 1                      # CLS plus the longest history
+    assert attrs["blocks.mha_forward"] == [{"bytes": b * 2 * l * l * 8}] * 2 + [
+        {"bytes": 3 * 2 * l * l * 8}] * 2
+    assert attrs["encoder.assemble_batch_inputs"] == [{"cells": b * l, "pad": 2 + 3 + 1}]
+    assert [a["anchors"] for a in attrs["loss.short_term_loss"]] == [4 + 2 + 1 + 3]
+    assert [a["anchors"] for a in attrs["loss.long_term_loss"]] == [4 * 2]
+    assert all(a["pool"] > 0 for a in attrs["loss.build_pool"])
+    assert attrs["encoder.encode_user_vectors"] == [{"rows": 3}]

@@ -93,7 +93,56 @@ def _bytes(x):
     return np.ascontiguousarray(x).tobytes()
 
 
+def _top_k_reference(scores, ids, k):
+    """The full batched lexsort of every row that top_k_columns replaced."""
+    return np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)[:, :k]
+
+
+def _tie_heavy(q, n, seed):
+    """Scores from three levels plus -inf, with two all -inf rows and one
+    all-equal row, under shuffled ids."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scores = rng.integers(0, 3, size=(q, n)).astype(np.float64) * 0.25
+    scores[rng.random((q, n)) < 0.3] = -np.inf
+    scores[:2] = -np.inf
+    scores[2] = 0.5
+    return scores, rng.permutation(np.arange(5, 5 + 2 * n, 2)).astype(np.int64)
+
+
 class TestTopKColumns:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_sort_matches_full_sort_on_ties(self, seed):
+        scores, ids = _tie_heavy(9, 23, seed)
+        straddled = 0
+        for k in range(1, 26):
+            got = top_k_columns(scores, ids, k)
+            ref = _top_k_reference(scores, ids, k)
+            assert got.dtype == ref.dtype and _bytes(got) == _bytes(ref), k
+            if k < 23:
+                kth = np.sort(scores, axis=1)[:, ::-1][:, k - 1:k]
+                straddled += int(((scores >= kth).sum(axis=1) > k).sum())
+        assert straddled > 50              # most (row, k) cut through a tie group
+
+    @pytest.mark.parametrize("shape", [(0, 7), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("k", [1, 6, 7, 8])
+    def test_empty_queries_or_corpus(self, shape, k):
+        scores = np.zeros(shape)
+        ids = np.arange(shape[1], dtype=np.int64)
+        got = top_k_columns(scores, ids, k)
+        assert got.shape == (shape[0], min(k, shape[1]))
+        assert _bytes(got) == _bytes(_top_k_reference(scores, ids, k))
+
+    def test_random_scores_near_ties(self):
+        """Distinct scores a few ulps apart and exact duplicates of the k-th."""
+        rng = np.random.Generator(np.random.PCG64(11))
+        scores = rng.standard_normal((40, 300))
+        scores[:, 5] = scores.max(axis=1) + 1e-3
+        scores[:, 100:110] = scores[:, 5:6]        # an 11-way tie for first place
+        scores[:20, 200] = np.nextafter(scores[:20, 5], np.inf)
+        ids = rng.permutation(300).astype(np.int64)
+        for k in (1, 5, 10, 11, 20, 299, 300, 301):
+            assert _bytes(top_k_columns(scores, ids, k)) == _bytes(_top_k_reference(scores, ids, k))
+
     def test_matches_per_row_lexsort(self):
         ids, vecs, queries, _ = _tied_corpus()
         scores = queries @ vecs.T
