@@ -166,14 +166,13 @@ def _tower_from_checkpoint(ckpt_path, surfaces):
 
 
 def run_eval(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
-             embeddings_path=None, k: int = 10):
+             embeddings_path, k: int):
     data = load_pipeline(world_dir, resolved, embeddings_path)
     tower = _tower_from_checkpoint(ckpt, data.surfaces)
     h1, h10, n = batch_hits_eval(tower, data.eval, data.embeddings,
                                  resolved["train"]["batch_size"])
-    eval_day = data.holdout_start_ts // SECONDS_PER_DAY
-    corpus_ids, corpus_vecs = alive_corpus(
-        data.posts, data.embeddings, eval_day, eval_day + data.eval_holdout_days - 1)
+    days = data.holdout_days
+    corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, days[0], days[-1])
     usable = [s for s in data.eval if s.long_targets and
               (s.history or tower.enc_cfg.use_cls)]
     user_vecs = tower.eval_user_vectors(usable, data.embeddings)
@@ -188,8 +187,7 @@ def run_eval(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
 
 
 def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
-                   ckpt=None, embeddings_path=None, max_days: int = 6,
-                   horizon_days: int = 7):
+                   ckpt, embeddings_path, max_days: int, horizon_days: int):
     _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
     data = load_pipeline(world_dir, resolved, embeddings_path)
     inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path))
@@ -222,13 +220,12 @@ def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
 
 
 def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
-                  days: int, queries_per_day: int = 5, k: int = 10,
-                  threshold: float = -1.0):
+                  days: int, queries_per_day: int, k: int, threshold: float):
     data = load_pipeline(world_dir, resolved)
     params, ck_cfg, _ = load_checkpoint(ckpt)
     sim = ServingSim(posts=data.posts, params=params, enc_cfg=ck_cfg,
                      post_encoder=data.post_encoder, surfaces=data.surfaces)
-    horizon_day = data.holdout_start_ts // SECONDS_PER_DAY + data.eval_holdout_days
+    horizon_day = data.holdout_days.stop
     start = max(1, horizon_day - days)
     refreshed_total = served = 0
     work_corpus, work_secs = [], []
@@ -410,35 +407,24 @@ def main(argv=None) -> int:
 def replay_manifest(manifest_path, out_dir, extra_args: dict | None = None) -> dict:
     """Re-run the command recorded in a manifest; returns the new metrics.
 
-    extra_args supplies un-serialized path arguments (world/checkpoint dirs)
-    when the originals should be overridden.
+    The recorded command line is parsed again, so every flag it left out takes
+    the parser's default. extra_args overrides recorded arguments, such as the
+    world or checkpoint paths.
     """
     man = RunManifest.load(manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    class _Args:
-        pass
-
-    args = _Args()
-    args.command = man.command
-    defaults = {"world": None, "checkpoint": None, "embeddings": None, "k": 10,
-                "which": None, "max_days": 6, "horizon_days": 7, "days": 3,
-                "queries_per_day": 5, "threshold": -1.0, "axis": None,
-                "values": None, "seeds": None}
-    for name, val in defaults.items():
-        setattr(args, name, val)
-    for name, val in man.config.get("cli_args", {}).items():
-        if name == "command":
-            continue
-        if val is not None and name in ("world", "checkpoint", "embeddings"):
-            val = Path(val)
-        setattr(args, name, val)
-    recorded = {Path(p).name: Path(p) for p in man.inputs}
-    if args.world is None and "posts.jsonl" in recorded:
-        args.world = recorded["posts.jsonl"].parent
-    for key, val in (extra_args or {}).items():
-        setattr(args, key, val)
+    recorded = {**man.config.get("cli_args", {}), **(extra_args or {})}
+    recorded.pop("command", None)
+    argv = [man.command]
+    if "which" in recorded:
+        argv.append(str(recorded.pop("which")))
+    worlds = [Path(p).parent for p in man.inputs if Path(p).name == "posts.jsonl"]
+    if recorded.get("world") is None and worlds:
+        recorded["world"] = worlds[0]
+    argv += [f"--{name.replace('_', '-')}={val}" for name, val in recorded.items()
+             if val is not None]
+    args = _build_parser().parse_args(argv + ["--out", str(out)])
     metrics, _, _ = _dispatch(args, man.config, out)
     return metrics
 

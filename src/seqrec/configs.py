@@ -133,10 +133,6 @@ class EncoderConfig:
         if self.pooling not in self.POOLINGS:
             raise ValueError(f"pooling must be one of {self.POOLINGS}")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
-
 
 @dataclass
 class LossConfig:

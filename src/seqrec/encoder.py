@@ -10,7 +10,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "causal_mask", "save_checkpoint", "load_checkpoint", "quantize_params",
 ]
 
-NULL_SURFACE_ID_OFFSET = 0  # null surface id == n_surfaces (last table row)
 # The raw relative-time feature log1p(seconds) sits around 9-14.5 while unit
 # embedding coordinates are ~1/sqrt(d); the projection input is prescaled so
 # one week maps to 1.0 and gradients through time_w stay balanced.
@@ -250,10 +249,9 @@ def _pool_forward(hidden, asm: BatchAssembly, params, config: EncoderConfig):
     return pooled, dict(kind="attention", w=w, hidden=hidden)
 
 
-def _pool_backward(d_pooled, cache, asm: BatchAssembly, params, grads, config):
-    b, l, d = cache["hidden_shape"]
-    d_hidden = np.zeros((b, l, d))
-    pc = cache["pool"]
+def _pool_backward(d_pooled, pc: dict, shape: tuple, params, grads):
+    b = shape[0]
+    d_hidden = np.zeros(shape)
     if pc["kind"] == "last":
         d_hidden[np.arange(b), pc["idx"]] = d_pooled
     elif pc["kind"] == "sum":
@@ -281,10 +279,7 @@ def backward_batch(cache, params: dict, config: EncoderConfig,
     dx = np.zeros((b, l, d)) if d_hidden is None else d_hidden.copy()
     if d_user_vec is not None:
         d_pooled = l2_normalize_backward(cache["user_vec"], cache["norms"], d_user_vec)
-        dx += _pool_backward(
-            d_pooled,
-            dict(pool=cache["pool"], hidden_shape=(b, l, d)),
-            asm, params, grads, config)
+        dx += _pool_backward(d_pooled, cache["pool"], (b, l, d), params, grads)
 
     for i in reversed(range(config.n_layers)):
         attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache = cache["layers"][i]
@@ -344,21 +339,10 @@ def quantize_params(params: dict) -> dict:
     return tensorio.quantize(params)
 
 
-def _config_dict(config: EncoderConfig) -> dict:
-    return {
-        "d_model": config.d_model, "n_heads": config.n_heads,
-        "n_layers": config.n_layers, "max_seq_len": config.max_seq_len,
-        "dropout": config.dropout, "pooling": config.pooling,
-        "d_ff": config.d_ff, "n_surfaces": config.n_surfaces,
-        "use_cls": config.use_cls, "causal": config.causal,
-        "use_time": config.use_time,
-    }
-
-
 def save_checkpoint(path, params: dict, config: EncoderConfig,
                     extra: dict | None = None) -> dict:
     """Write params + config; returns the float32-quantized params actually stored."""
-    meta = {"config": _config_dict(config), "extra": extra or {}}
+    meta = {"config": asdict(config), "extra": extra or {}}
     return tensorio.save_tensors(path, params, meta)
 
 

@@ -2,7 +2,6 @@
 performance over the week after training, and architecture sweeps."""
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import logging
 import time
@@ -12,19 +11,11 @@ import numpy as np
 from .configs import EncoderConfig, LossConfig, TrainConfig
 from .metrics import EvalReport, top_k_columns
 from .pipeline import PipelineData, alive_corpus
-from .samples import HistoryItem, SequenceSample, events_by_user
+from .samples import SequenceSample, collect_targets, events_by_user, history_before
 from .trainer import UserTower, train
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
-
-
-def _history_sample(uid: int, stream: list, cutoff_ts: int, max_len: int):
-    hist = [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
-            for e in stream if e.ts < cutoff_ts][-max_len:]
-    if not hist:
-        return None
-    return SequenceSample(uid, hist, [], cutoff_ts)
 
 
 def _knn_hits_excluding_seen(user_vecs: np.ndarray, target_sets: list,
@@ -59,40 +50,29 @@ def staleness_experiment(tower: UserTower, data: PipelineData,
     """
     if max_stale_days < 0:
         raise ValueError(f"max_stale_days must be >= 0, got {max_stale_days}")
-    eval_day = data.holdout_start_ts // SECONDS_PER_DAY
-    horizon = eval_day + data.eval_holdout_days
+    days = data.holdout_days
     per_user = events_by_user(data.events)
     targets = {s.user_id: s.long_targets[:m_eval] for s in data.eval if s.long_targets}
-
-    # Streams are time-sorted, so each user's pre-holdout items are built once
-    # and every staleness level keeps a prefix of them.
-    past = {uid: [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
-                  for e in per_user[uid] if e.ts < data.holdout_start_ts]
-            for uid in targets if uid in per_user}
-    deepest_day = eval_day - max_stale_days
-    users = [uid for uid in sorted(past)
-             if past[uid] and past[uid][0].ts < deepest_day * SECONDS_PER_DAY]
+    deepest_day = days[0] - max_stale_days
+    users = [uid for uid in sorted(targets)
+             if uid in per_user and per_user[uid][0].ts < deepest_day * SECONDS_PER_DAY]
     if not users:
         raise ValueError(f"no eval user has history before day {deepest_day}, the "
                          f"cutoff at {max_stale_days} stale days")
-    times = {uid: [h.ts for h in past[uid]] for uid in users}
-    corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings,
-                                           eval_day, horizon - 1)
+    corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, days[0], days[-1])
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     # posts consumed before the holdout can never be served again; the seen set
     # uses the full pre-holdout stream so the candidate pool is identical for
     # every staleness level
-    seen = [{h.post_id for h in past[uid]} for uid in users]
+    seen = [{e.post_id for e in per_user[uid] if e.ts < data.holdout_start_ts}
+            for uid in users]
     max_len = tower.enc_cfg.max_seq_len
     reports = []
     base_value = None
     for d in range(max_stale_days + 1):
-        cutoff_ts = (eval_day - d) * SECONDS_PER_DAY
-        samples = []
-        for uid in users:
-            n = bisect.bisect_left(times[uid], cutoff_ts)
-            samples.append(SequenceSample(uid, past[uid][max(0, n - max_len):n], [],
-                                          cutoff_ts))
+        cutoff_ts = (days[0] - d) * SECONDS_PER_DAY
+        samples = [SequenceSample(uid, history_before(per_user[uid], cutoff_ts, max_len),
+                                  [], cutoff_ts) for uid in users]
         user_vecs = tower.eval_user_vectors(samples, data.embeddings)
         rep = _knn_hits_excluding_seen(user_vecs, [targets[uid] for uid in users],
                                        seen, corpus_ids, corpus_vecs, k)
@@ -118,46 +98,40 @@ def temporal_decay_experiment(data: PipelineData, enc_cfg: EncoderConfig,
         raise ValueError(f"horizon_days must be >= 1, got {horizon_days}")
     if data.eval_holdout_days < horizon_days:
         raise ValueError(f"need a holdout of >= {horizon_days} days")
-    eval_day = data.holdout_start_ts // SECONDS_PER_DAY
+    days = data.holdout_days[:horizon_days]
     per_user = events_by_user(data.events)
-
     day_targets: list[dict] = []
-    for h in range(horizon_days):
-        lo = (eval_day + h) * SECONDS_PER_DAY
-        hi = lo + SECONDS_PER_DAY
+    for day in days:
+        lo = day * SECONDS_PER_DAY
         per_day: dict[int, list] = {}
         for uid, stream in per_user.items():
-            ids = []
-            for e in stream:
-                if lo <= e.ts < hi and e.post_id not in ids:
-                    ids.append(e.post_id)
+            ids, _ = collect_targets([e for e in stream if e.ts >= lo], set(),
+                                     loss_cfg.m, lo + SECONDS_PER_DAY)
             if ids:
-                per_day[uid] = ids[:loss_cfg.m]
+                per_day[uid] = ids
         day_targets.append(per_day)
 
+    # history is fixed at the end of the training window
+    cutoff_ts = data.holdout_start_ts
+    seen_all = {uid: {e.post_id for e in stream if e.ts < cutoff_ts}
+                for uid, stream in per_user.items()}
     out: dict[str, list] = {}
     for label, variant in (("without_long", "ttt_causal"),
                            ("with_long", "ttt_causal_long")):
         tcfg = dataclasses.replace(train_cfg, variant=variant)
         tower, _ = train(data.train, data.eval, data.embeddings,
                          enc_cfg, loss_cfg, tcfg, data.surfaces)
-        # history is fixed at the end of the training window
-        cutoff_ts = data.holdout_start_ts
         cache_vec: dict[int, np.ndarray] = {}
-        seen_all = {uid: {e.post_id for e in stream if e.ts < cutoff_ts}
-                    for uid, stream in per_user.items()}
         reports = []
-        for h in range(horizon_days):
-            per_day = day_targets[h]
-            users = [uid for uid in sorted(per_day)
-                     if uid in per_user and any(e.ts < cutoff_ts for e in per_user[uid])]
+        for h, (day, per_day) in enumerate(zip(days, day_targets)):
+            users = [uid for uid in sorted(per_day) if per_user[uid][0].ts < cutoff_ts]
             missing = [u for u in users if u not in cache_vec]
             if missing:
-                samples = [_history_sample(u, per_user[u], cutoff_ts,
-                                           tower.enc_cfg.max_seq_len) for u in missing]
+                samples = [SequenceSample(u, history_before(per_user[u], cutoff_ts,
+                                                            tower.enc_cfg.max_seq_len),
+                                          [], cutoff_ts) for u in missing]
                 vecs = tower.eval_user_vectors(samples, data.embeddings)
-                cache_vec.update(dict(zip(missing, vecs)))
-            day = eval_day + h
+                cache_vec.update(zip(missing, vecs))
             corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, day, day)
             rep = _knn_hits_excluding_seen(
                 np.stack([cache_vec[u] for u in users]),
@@ -193,28 +167,19 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
     cutoff = data.holdout_start_ts
     per_user = events_by_user(data.events)
     profiles = {u.user_id: u for u in data.users}
-    eval_day = cutoff // SECONDS_PER_DAY
-    horizon = eval_day + data.eval_holdout_days
 
-    slice_users = []
     real_hist: dict[int, list] = {}
     targets: dict[int, list] = {}
     for uid, stream in per_user.items():
-        past = [e for e in stream if e.ts < cutoff]
-        if len(past) >= marginal_threshold or uid not in profiles:
+        # a history of marginal_threshold events means the user is not marginal
+        hist = history_before(stream, cutoff, marginal_threshold)
+        if len(hist) >= marginal_threshold or uid not in profiles:
             continue
-        future_ids = []
-        past_ids = {e.post_id for e in past}
-        for e in stream:
-            if e.ts >= cutoff and e.post_id not in past_ids and e.post_id not in future_ids:
-                future_ids.append(e.post_id)
-        if not future_ids:
-            continue
-        slice_users.append(uid)
-        real_hist[uid] = [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
-                          for e in past]
-        targets[uid] = future_ids[:m_eval]
-    slice_users.sort()
+        ids, _ = collect_targets([e for e in stream if e.ts >= cutoff],
+                                 {h.post_id for h in hist}, m_eval)
+        if ids:
+            real_hist[uid], targets[uid] = hist, ids
+    slice_users = sorted(real_hist)
     if not slice_users:
         raise ValueError("no cold/marginal users in this world; "
                          "set cold_user_frac/marginal_user_frac in the config")
@@ -222,8 +187,8 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
     window = [e for e in data.events if e.ts < cutoff]
     popularity = PopularityIndex(window, data.posts)
     similarity = user_user_similarity(window)
-    corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings,
-                                           eval_day, horizon - 1)
+    days = data.holdout_days
+    corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, days[0], days[-1])
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
 
     out = {}

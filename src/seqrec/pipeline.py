@@ -15,7 +15,7 @@ from .embeddings import EmbeddingSet, load_embeddings
 from .manifest import RunManifest
 from .post_encoder import PostEncoder
 from .samples import build_samples, filter_events, holdout_start_ts
-from .world import WorldBundle, build_world
+from .world import SECONDS_PER_DAY, WorldBundle, build_world
 
 
 @dataclass(eq=False)
@@ -37,6 +37,12 @@ class PipelineData:
     @property
     def users(self) -> list:
         return self.bundle.users
+
+    @property
+    def holdout_days(self) -> range:
+        """The eval holdout's days; the first begins at holdout_start_ts."""
+        first = self.holdout_start_ts // SECONDS_PER_DAY
+        return range(first, first + self.eval_holdout_days)
 
 
 def _from_world(bundle: WorldBundle, post_encoder: PostEncoder,

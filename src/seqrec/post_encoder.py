@@ -51,7 +51,6 @@ class PostTowerConfig:
     learning_rate: float = 2e-3
     batch_size: int = 64
     epochs: int = 4
-    pair_window_days: int = 7
     seed: int = 0
 
 

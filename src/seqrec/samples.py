@@ -1,6 +1,7 @@
 """Event filtering and leakage-free training/eval sample construction."""
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +103,27 @@ def _history_items(stream: list) -> list:
     return [HistoryItem(e.post_id, int(e.action), e.surface, e.ts) for e in stream]
 
 
-def _collect_targets(future: list, hist_ids: set, m: int,
-                     window_end_ts: int | None = None) -> tuple[list, list]:
+def history_before(stream: list, cutoff_ts: int, max_len: int) -> list:
+    """The last max_len events of a time-sorted stream that fall strictly
+    before cutoff_ts, as HistoryItems.
+
+    Offline samples, the experiments and the serving refresh all cut user
+    histories here.
+    """
+    n = bisect.bisect_left(stream, cutoff_ts, key=lambda e: e.ts)
+    return _history_items(stream[max(0, n - max_len):n])
+
+
+def collect_targets(future: list, exclude: set, m: int,
+                    window_end_ts: int | None = None) -> tuple[list, list]:
+    """(ids, timestamps) of the first m distinct posts of a time-sorted stream
+    that are not in exclude, stopping at window_end_ts if given."""
     ids, ts = [], []
     seen = set()
     for e in future:
         if window_end_ts is not None and e.ts >= window_end_ts:
             break
-        if e.post_id in hist_ids or e.post_id in seen:
+        if e.post_id in exclude or e.post_id in seen:
             continue
         ids.append(e.post_id)
         ts.append(e.ts)
@@ -145,9 +159,9 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
         future = [e for e in stream if e.ts >= holdout_ts]
 
         if past and future:
-            hist = _history_items(past[-L_max:])
+            hist = history_before(stream, holdout_ts, L_max)
             hist_ids = {h.post_id for h in hist}
-            tgt_ids, tgt_ts = _collect_targets(
+            tgt_ids, tgt_ts = collect_targets(
                 future, hist_ids, m,
                 None if window_secs is None else holdout_ts + window_secs)
             if tgt_ids:
@@ -166,7 +180,7 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
             cutoff = targets[0].ts
             hist = _history_items(hist_events[-L_max:])
             hist_ids = {h.post_id for h in hist}
-            tgt_ids, tgt_ts = _collect_targets(
+            tgt_ids, tgt_ts = collect_targets(
                 targets, hist_ids, m,
                 None if window_secs is None else cutoff + window_secs)
             if tgt_ids:

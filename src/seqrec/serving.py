@@ -19,7 +19,7 @@ import numpy as np
 
 from .configs import EncoderConfig
 from .encoder import encode_user_vectors
-from .samples import HistoryItem, SequenceSample, events_by_user
+from .samples import SequenceSample, events_by_user, history_before
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
@@ -111,6 +111,7 @@ class ServingSim:
 
     def __post_init__(self):
         self._posts_by_id = {p.post_id: p for p in self.posts}
+        self._flagged = {p.post_id for p in self.posts if p.integrity_violating}
         self._last_refresh_ts: dict[int, int] = {}
 
     # -- post side ---------------------------------------------------------
@@ -139,10 +140,11 @@ class ServingSim:
     def refresh_users(self, events: list, day: int) -> int:
         """Recompute embeddings for users with events since their last refresh.
 
-        Histories are rebuilt from the freshest max_seq_len events before the
-        refresh cutoff, with integrity-flagged posts dropped. Users whose
-        history references a post missing from the post index are skipped with
-        a log line. All refreshed vectors publish in one snapshot swap.
+        Each history is the offline one (`samples.history_before`) over the
+        user's events on non-flagged posts before the refresh cutoff. Users
+        whose history references a post missing from the post index are
+        skipped with a log line. All refreshed vectors publish in one snapshot
+        swap.
         """
         cutoff_ts = day * SECONDS_PER_DAY
         post_snap = self.post_store.snapshot()[1]
@@ -154,21 +156,15 @@ class ServingSim:
             last = self._last_refresh_ts.get(uid, -1)
             if stream[-1].ts <= last:
                 continue  # nothing fresh since the previous refresh
-            hist = []
-            skip = False
-            for e in stream[-self.enc_cfg.max_seq_len * 2:]:
-                post = self._posts_by_id.get(e.post_id)
-                if post is not None and post.integrity_violating:
-                    continue
-                if e.post_id not in post_snap:
-                    log.warning("refresh_users: user %d history references post %d "
-                                "with no served embedding; skipping user", uid, e.post_id)
-                    skip = True
-                    break
-                hist.append(HistoryItem(e.post_id, int(e.action), e.surface, e.ts))
-            if skip or not hist:
+            hist = history_before([e for e in stream if e.post_id not in self._flagged],
+                                  cutoff_ts, self.enc_cfg.max_seq_len)
+            if not hist:
                 continue
-            hist = hist[-self.enc_cfg.max_seq_len:]
+            missing = [h.post_id for h in hist if h.post_id not in post_snap]
+            if missing:
+                log.warning("refresh_users: user %d history references post %d "
+                            "with no served embedding; skipping user", uid, missing[0])
+                continue
             batch_samples.append(SequenceSample(uid, hist, [], cutoff_ts))
             batch_uids.append(uid)
         if batch_samples:

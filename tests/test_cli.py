@@ -88,6 +88,15 @@ class TestUsageErrors:
         assert f"{events}, line {n_lines}: " in caplog.text
 
 
+def _assert_same_metrics(replayed: dict, original: dict) -> None:
+    assert set(replayed) == set(original)
+    for key, val in original.items():
+        if isinstance(val, float):
+            assert abs(replayed[key] - val) < 1e-7, key
+        else:
+            assert replayed[key] == val
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, world_cfg, world_dir):
     out = tmp_path_factory.mktemp("train")
@@ -120,13 +129,21 @@ class TestTrainEvalPipeline:
 
     def test_replay_reproduces_metrics(self, tmp_path, trained):
         replayed = replay_manifest(trained / "manifest.json", tmp_path / "replay")
-        original = RunManifest.load(trained / "manifest.json").metrics
-        assert set(replayed) == set(original)
-        for key, val in original.items():
-            if isinstance(val, float):
-                assert abs(replayed[key] - val) < 1e-7, key
-            else:
-                assert replayed[key] == val
+        _assert_same_metrics(replayed, RunManifest.load(trained / "manifest.json").metrics)
+
+    @pytest.mark.parametrize("argv,flag_key,default_key", [
+        (["eval", "--k", "5"], "knn_hits5", "knn_hits10"),
+        (["experiment", "staleness", "--max-days", "1"], "hits20_stale_1", "hits20_stale_2")])
+    def test_replay_keeps_non_default_flags(self, tmp_path, world_cfg, world_dir,
+                                            trained, argv, flag_key, default_key):
+        out = tmp_path / "run"
+        assert main(argv + ["--config", str(world_cfg), "--world", str(world_dir),
+                            "--checkpoint", str(trained / "checkpoint.ckpt"),
+                            "--out", str(out)]) == 0
+        original = RunManifest.load(out / "manifest.json").metrics
+        assert flag_key in original and default_key not in original
+        replayed = replay_manifest(out / "manifest.json", tmp_path / "replay")
+        _assert_same_metrics(replayed, original)
 
     @pytest.mark.parametrize("command,k", [("eval", "-1"), ("eval", "0"),
                                            ("serve-sim", "0")])

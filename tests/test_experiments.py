@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import seqrec.experiments as experiments
 from seqrec.cli import main
 from seqrec.configs import DatasetConfig, EncoderConfig, LossConfig, TrainConfig
 from seqrec.encoder import init_params
@@ -11,7 +12,9 @@ from seqrec.experiments import (
     coldstart_eval, staleness_experiment, sweep, temporal_decay_experiment,
 )
 from seqrec.manifest import RunManifest
+from seqrec.metrics import EvalReport
 from seqrec.pipeline import alive_corpus, load_pipeline, prepare
+from seqrec.samples import HistoryItem, events_by_user
 from seqrec.trainer import UserTower, train
 from seqrec.world import SECONDS_PER_DAY
 
@@ -160,3 +163,116 @@ def test_coldstart_eval_names_missing_profiles(tmp_path):
     tower = UserTower("transformer", init_params(enc, 0), enc, data.surfaces)
     with pytest.raises(ValueError, match="no generator user profiles"):
         coldstart_eval(data, tower)
+
+
+# -- the slices the experiments rank, against test-local copies of the loops ----
+# that built them before `samples.history_before` and `samples.collect_targets`
+
+def _old_coldstart_slice(data, marginal_threshold, m_eval):
+    cutoff = data.holdout_start_ts
+    per_user = events_by_user(data.events)
+    profiles = {u.user_id: u for u in data.users}
+    slice_users = []
+    real_hist, targets = {}, {}
+    for uid, stream in per_user.items():
+        past = [e for e in stream if e.ts < cutoff]
+        if len(past) >= marginal_threshold or uid not in profiles:
+            continue
+        future_ids = []
+        past_ids = {e.post_id for e in past}
+        for e in stream:
+            if e.ts >= cutoff and e.post_id not in past_ids and e.post_id not in future_ids:
+                future_ids.append(e.post_id)
+        if not future_ids:
+            continue
+        slice_users.append(uid)
+        real_hist[uid] = [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
+                          for e in past]
+        targets[uid] = future_ids[:m_eval]
+    slice_users.sort()
+    return slice_users, real_hist, targets
+
+
+def _old_decay_days(data, horizon_days, m, max_len):
+    """Per holdout day: (histories encoded that day, ranked users, targets, seen)."""
+    eval_day = data.holdout_start_ts // SECONDS_PER_DAY
+    per_user = events_by_user(data.events)
+    day_targets = []
+    for h in range(horizon_days):
+        lo = (eval_day + h) * SECONDS_PER_DAY
+        hi = lo + SECONDS_PER_DAY
+        per_day = {}
+        for uid, stream in per_user.items():
+            ids = []
+            for e in stream:
+                if lo <= e.ts < hi and e.post_id not in ids:
+                    ids.append(e.post_id)
+            if ids:
+                per_day[uid] = ids[:m]
+        day_targets.append(per_day)
+    cutoff_ts = data.holdout_start_ts
+    seen_all = {uid: {e.post_id for e in stream if e.ts < cutoff_ts}
+                for uid, stream in per_user.items()}
+    encoded, out = set(), []
+    for per_day in day_targets:
+        users = [uid for uid in sorted(per_day)
+                 if uid in per_user and any(e.ts < cutoff_ts for e in per_user[uid])]
+        missing = [u for u in users if u not in encoded]
+        encoded.update(missing)
+        histories = [(u, [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
+                          for e in per_user[u] if e.ts < cutoff_ts][-max_len:], cutoff_ts)
+                     for u in missing]
+        out.append((histories, users, [per_day[u] for u in users],
+                    [seen_all[u] for u in users]))
+    return out
+
+
+class _Recorder:
+    """Stands in for a tower's encoder and for the KNN ranking; records the
+    samples each encodes and the (targets, seen) each ranks."""
+
+    def __init__(self, monkeypatch, tower):
+        self.encoded, self.ranked = [], []
+        monkeypatch.setattr(tower, "eval_user_vectors", self._encode)
+        monkeypatch.setattr(experiments, "_knn_hits_excluding_seen", self._rank)
+
+    def _encode(self, samples, embeddings):
+        self.encoded.append([(s.user_id, s.history, s.cutoff_time) for s in samples])
+        return np.zeros((len(samples), embeddings.dim))
+
+    def _rank(self, user_vecs, target_sets, seen_sets, corpus_ids, corpus_vecs, k):
+        self.ranked.append((target_sets, seen_sets))
+        return EvalReport(metric="knn_hits", k=k, hits=0, n_queries=len(target_sets))
+
+
+def _tiny_tower(data, max_seq_len):
+    enc = EncoderConfig(max_seq_len=max_seq_len)
+    return UserTower("transformer", init_params(enc, 0), enc, data.surfaces)
+
+
+@pytest.mark.parametrize("threshold", [20, 40])
+def test_coldstart_slice_matches_old_loop(marginal_world_data, monkeypatch, threshold):
+    data = marginal_world_data
+    tower = _tiny_tower(data, max_seq_len=8)
+    rec = _Recorder(monkeypatch, tower)
+    coldstart_eval(data, tower, policy_modes=("none",), m_eval=4,
+                   marginal_threshold=threshold)
+    users, real_hist, targets = _old_coldstart_slice(data, threshold, m_eval=4)
+    assert len(users) >= 5
+    assert rec.encoded == [[(u, real_hist[u][-8:], data.holdout_start_ts) for u in users]]
+    assert rec.ranked == [([targets[u] for u in users],
+                           [{h.post_id for h in real_hist[u]} for u in users])]
+
+
+def test_temporal_decay_days_match_old_loop(marginal_world_data, monkeypatch):
+    data = marginal_world_data
+    tower = _tiny_tower(data, max_seq_len=8)
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: (tower, None))
+    rec = _Recorder(monkeypatch, tower)
+    temporal_decay_experiment(data, tower.enc_cfg, LossConfig(m=3), TrainConfig(),
+                              horizon_days=3)
+    days = _old_decay_days(data, horizon_days=3, m=3, max_len=8)
+    assert all(users for _, users, _, _ in days)
+    # each variant encodes and ranks the same days
+    assert rec.encoded == 2 * [hist for hist, _, _, _ in days if hist]
+    assert rec.ranked == 2 * [(targets, seen) for _, _, targets, seen in days]

@@ -10,7 +10,9 @@ import numpy as np
 
 from seqrec.configs import EncoderConfig, LossConfig, TrainConfig
 from seqrec.encoder import init_params
+from seqrec.experiments import coldstart_eval, staleness_experiment
 from seqrec.optim import Adam
+from seqrec.serving import ServingSim
 from seqrec.trainer import UserTower, train_step
 
 from helpers import make_samples, random_embeddings
@@ -75,3 +77,31 @@ def test_attribute_readers_see_the_arguments_they_expect(monkeypatch):
     assert [a["anchors"] for a in attrs["loss.long_term_loss"]] == [4 * 2]
     assert all(a["pool"] > 0 for a in attrs["loss.build_pool"])
     assert attrs["encoder.encode_user_vectors"] == [{"rows": 3}]
+
+
+def test_every_eval_and_serve_wrap_records_a_span(monkeypatch, marginal_world_data):
+    """The experiments reach alive_corpus through their module global and
+    import coldstart's functions at call time, and serving encodes through its
+    module global; otherwise a wrap records nothing and the traced metrics
+    quietly read zero."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    phases = importlib.import_module("seqbench.phases")
+    tracer = importlib.import_module("seqbench.tracer")
+    data = marginal_world_data
+    enc = EncoderConfig(max_seq_len=8)
+    tower = UserTower("transformer", init_params(enc, seed=1), enc, data.surfaces)
+    sim = ServingSim(posts=data.posts, params=tower.params, enc_cfg=enc,
+                     post_encoder=data.post_encoder, surfaces=data.surfaces)
+    day = data.holdout_days[0]
+    sim.bootstrap_posts(day)
+
+    def run_eval():
+        staleness_experiment(tower, data, max_stale_days=1)
+        coldstart_eval(data, tower, marginal_threshold=20)
+
+    for wraps, run in ((phases.EVAL_WRAPS, run_eval),
+                       (phases.SERVE_WRAPS, lambda: sim.refresh_users(data.events, day))):
+        tr = tracer.Tracer()
+        with tracer.install(tr, phases.EVAL_WRAPS + phases.SERVE_WRAPS):
+            run()
+        assert {name for _, _, name, _ in wraps} <= {span.name for span in tr.spans}

@@ -1,17 +1,22 @@
+import dataclasses
+import logging
 import threading
 
 import numpy as np
 import pytest
 
+import seqrec.serving as serving
+from seqrec.actions import ActionType
 from seqrec.configs import DatasetConfig, EncoderConfig
 from seqrec.encoder import init_params
 from seqrec.metrics import knn_top_ids
 from seqrec.post_encoder import PostEncoder
+from seqrec.samples import history_before
 from seqrec.serving import (
     ColdUserError, EmbeddingStore, IntegrityRejectedError, ServingSim,
     calibrate_threshold,
 )
-from seqrec.world import SECONDS_PER_DAY, build_world
+from seqrec.world import SECONDS_PER_DAY, InteractionEvent, build_world
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +183,69 @@ class TestRefreshUsers:
         _, offline_vec = encode_sequence(sample, embs, sim.params, sim.enc_cfg, sim.surfaces)
         served = sim.user_store.get(uid).vector.astype(np.float64)
         assert np.max(np.abs(served - offline_vec)) < 1e-7
+
+    NEW_USER = 10**6
+    FLAGGED_POST = 10**6
+    MISSING_POST = 10**6 + 1
+
+    def _refresh_one_user(self, sim_world, monkeypatch, post_ids):
+        """Refresh on day 8 for a user engaging post_ids an hour apart from
+        day 2 on; returns (sim, the events, the histories sent to the encoder)."""
+        bundle, enc_cfg, penc, params = sim_world
+        flagged = dataclasses.replace(bundle.posts[0], post_id=self.FLAGGED_POST,
+                                      integrity_violating=True)
+        sim = ServingSim(posts=bundle.posts + [flagged], params=params, enc_cfg=enc_cfg,
+                         post_encoder=penc,
+                         surfaces={s: i for i, s in enumerate(bundle.config.surfaces)})
+        sim.bootstrap_posts(day=8)
+        events = [InteractionEvent(self.NEW_USER, pid, ActionType.LIKE, "feed",
+                                   2 * SECONDS_PER_DAY + 3600 * i)
+                  for i, pid in enumerate(post_ids)]
+        sent = []
+        encode = serving.encode_user_vectors
+
+        def spy(samples, *args, **kwargs):
+            sent.extend(s.history for s in samples)
+            return encode(samples, *args, **kwargs)
+
+        monkeypatch.setattr(serving, "encode_user_vectors", spy)
+        sim.refresh_users(events, day=8)
+        return sim, events, sent
+
+    def _served_ids(self, sim_world, n):
+        bundle = sim_world[0]
+        return [p.post_id for p in bundle.posts
+                if p.created_at <= 8 and not p.integrity_violating][:n]
+
+    def test_history_is_offline_cut_of_unflagged_stream(self, sim_world, monkeypatch):
+        L = sim_world[1].max_seq_len
+        served = self._served_ids(sim_world, 2 * L)
+        # more than L of the last 2L events are on a flagged post
+        sim, events, sent = self._refresh_one_user(
+            sim_world, monkeypatch, served + [self.FLAGGED_POST] * (L + 1))
+        kept = [e for e in events if e.post_id != self.FLAGGED_POST]
+        assert sent == [history_before(kept, 8 * SECONDS_PER_DAY, L)]
+        assert [h.post_id for h in sent[0]] == served[-L:]
+        assert sim.user_store.get(self.NEW_USER) is not None
+
+    def test_missing_post_older_than_history_is_ignored(self, sim_world, monkeypatch):
+        L = sim_world[1].max_seq_len
+        served = self._served_ids(sim_world, L)
+        sim, _, sent = self._refresh_one_user(
+            sim_world, monkeypatch, [self.MISSING_POST] + served)
+        assert [[h.post_id for h in hist] for hist in sent] == [served]
+        assert sim.user_store.get(self.NEW_USER) is not None
+
+    def test_missing_post_in_history_skips_user(self, sim_world, monkeypatch, caplog):
+        L = sim_world[1].max_seq_len
+        served = self._served_ids(sim_world, L)
+        with caplog.at_level(logging.WARNING, logger="seqrec.serving"):
+            sim, _, sent = self._refresh_one_user(
+                sim_world, monkeypatch, served[1:] + [self.MISSING_POST])
+        assert sent == []
+        assert sim.user_store.get(self.NEW_USER) is None
+        assert (f"user {self.NEW_USER} history references post {self.MISSING_POST} "
+                "with no served embedding; skipping user") in caplog.text
 
     def test_snapshot_gather_matches_vector(self, sim_world):
         from seqrec.serving import _SnapshotEmbeddings

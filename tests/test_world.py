@@ -12,9 +12,11 @@ from seqrec.dataio import (
 )
 from seqrec.post_encoder import PostEncoder
 from seqrec.samples import (
-    action_predictiveness, build_samples, filter_events,
+    HistoryItem, action_predictiveness, build_samples, filter_events, history_before,
 )
-from seqrec.world import SECONDS_PER_DAY, build_world, generate_world, measure_week_survival
+from seqrec.world import (
+    SECONDS_PER_DAY, InteractionEvent, build_world, generate_world, measure_week_survival,
+)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +253,25 @@ class TestBuildSamples:
             build_samples(small_bundle.events, 1, 0, 1)
         with pytest.raises(ValueError):
             build_samples(small_bundle.events, 1, 1, 0)
+
+
+class TestHistoryBefore:
+    STREAM = [InteractionEvent(1, 10 + i, ActionType.LIKE, "feed", 100 * i)
+              for i in range(1, 6)]
+
+    def test_event_at_cutoff_excluded(self):
+        assert [h.ts for h in history_before(self.STREAM, 300, 10)] == [100, 200]
+
+    def test_keeps_the_last_max_len(self):
+        assert [h.post_id for h in history_before(self.STREAM, 501, 2)] == [14, 15]
+
+    def test_empty_before_first_event(self):
+        assert history_before(self.STREAM, 100, 3) == []
+        assert history_before([], 100, 3) == []
+
+    def test_max_len_may_exceed_stream(self):
+        assert history_before(self.STREAM, 10**9, 50) == [
+            HistoryItem(e.post_id, int(e.action), e.surface, e.ts) for e in self.STREAM]
 
 
 class TestActionPredictiveness:
