@@ -36,6 +36,8 @@ LOW_SIGNAL_ACTIONS = (
 
 
 def action_from_name(name: str) -> ActionType:
+    if not isinstance(name, str):
+        raise ValueError(f"action must be a string, got {name!r}")
     try:
         return ActionType[name.upper()]
     except KeyError:

@@ -64,11 +64,33 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
+
+
+def _ascending_positive_ints(text: str) -> list:
+    values = _int_list(text)
+    if values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and ascending, got {text!r}")
+    return values
+
+
+_PIPELINE_KEYS = ("eval_holdout_days", "min_interactions", "drop_integrity",
+                 "oracle_sigma", "target_window_days")
+
+
 def _load_sections(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+        raise SystemExit1("a config file maps section names to JSON objects")
     unknown = set(data) - {"dataset", "encoder", "loss", "train", "pipeline"}
     if unknown:
         raise SystemExit1(f"unknown config sections {sorted(unknown)}")
@@ -80,6 +102,9 @@ def _resolve(sections: dict, flag_overrides: dict) -> dict:
     configs = {name: from_json_dict(cls, sections.get(name, {}))
                for name, cls in (("dataset", DatasetConfig), ("encoder", EncoderConfig),
                                  ("loss", LossConfig), ("train", TrainConfig))}
+    unknown = set(sections.get("pipeline", {})) - set(_PIPELINE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown pipeline keys: {sorted(unknown)}")
     pipe = dict({"eval_holdout_days": 3, "min_interactions": 2,
                  "drop_integrity": True, "oracle_sigma": 0.1},
                 **sections.get("pipeline", {}))
@@ -322,9 +347,10 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="sequence-length / layer-count sweep")
     common(sp)
     sp.add_argument("--axis", choices=["seq_len", "layers"], required=True)
-    sp.add_argument("--values", type=str, required=True,
-                    help="comma-separated ascending values")
-    sp.add_argument("--seeds", type=str, default="0")
+    sp.add_argument("--values", type=_ascending_positive_ints, required=True,
+                    help="comma-separated positive ascending values")
+    sp.add_argument("--seeds", type=_int_list, default=[0],
+                    help="comma-separated seeds")
 
     return p
 
@@ -348,9 +374,7 @@ def _dispatch(args, resolved: dict, out: Path):
         return run_serve_sim(resolved, out, args.world, args.checkpoint,
                              args.days, args.queries_per_day, args.k, args.threshold)
     if cmd == "sweep":
-        values = [int(v) for v in args.values.split(",")]
-        seeds = [int(v) for v in args.seeds.split(",")]
-        return run_sweep(resolved, out, args.world, args.axis, values, seeds)
+        return run_sweep(resolved, out, args.world, args.axis, args.values, args.seeds)
     raise SystemExit1(f"unknown command {cmd!r}")
 
 
@@ -361,6 +385,16 @@ def _flag_overrides(args) -> dict:
         if hasattr(args, flag):
             over[key] = getattr(args, flag)
     return over
+
+
+def _recorded(value):
+    """A parsed argument as the manifest records it: paths as strings and int
+    lists in the comma-separated form their flag parses."""
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return value
 
 
 def main(argv=None) -> int:
@@ -379,12 +413,8 @@ def main(argv=None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    resolved["cli_args"] = {
-        name: (str(v) if isinstance(v, Path) else v)
-        for name, v in vars(args).items()
-        if name not in ("config", "out") and (isinstance(v, (str, int, float, bool))
-                                              or isinstance(v, Path) or v is None)
-    }
+    resolved["cli_args"] = {name: _recorded(v) for name, v in vars(args).items()
+                            if name not in ("config", "out")}
     manifest = new_manifest(args.command, resolved, resolved["train"]["seed"])
     t0 = time.perf_counter()
     try:

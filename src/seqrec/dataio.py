@@ -49,12 +49,40 @@ def _int_field(d: dict, name: str) -> int:
     return value
 
 
+def _str_field(d: dict, name: str) -> str:
+    value = d[name]
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _bool_field(d: dict, name: str) -> bool:
+    value = d[name]
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _vector(value, name: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 vector."""
+    arr = np.array(value)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _vectors(value, name: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list of lists of numbers, got {value!r}")
+    return [_vector(v, name) for v in value]
+
+
 def _event(d: dict) -> InteractionEvent:
     return InteractionEvent(
         user_id=_int_field(d, "user_id"),
         post_id=_int_field(d, "post_id"),
         action=action_from_name(d["action"]),
-        surface=d["surface"],
+        surface=_str_field(d, "surface"),
         ts=_int_field(d, "ts"),
     )
 
@@ -83,13 +111,13 @@ def _post(d: dict) -> Post:
     return Post(
         post_id=_int_field(d, "post_id"),
         created_at=_int_field(d, "created_at"),
-        topic=np.array(d["topic"], dtype=np.float64),
-        text_channel=np.array(d["text_channel"], dtype=np.float64),
-        image_channels=[np.array(img, dtype=np.float64) for img in d["image_channels"]],
-        lang=d["lang"],
-        country=d["country"],
+        topic=_vector(d["topic"], "topic"),
+        text_channel=_vector(d["text_channel"], "text_channel"),
+        image_channels=_vectors(d["image_channels"], "image_channels"),
+        lang=_str_field(d, "lang"),
+        country=_str_field(d, "country"),
         lifetime_days=_int_field(d, "lifetime_days"),
-        integrity_violating=bool(d["integrity"]),
+        integrity_violating=_bool_field(d, "integrity"),
     )
 
 

@@ -8,6 +8,7 @@ arithmetic.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -64,9 +65,6 @@ class EmbeddingSet:
                 raise KeyError(f"no embedding for post id {pid}") from None
         return self.vectors[rows].astype(np.float64)
 
-    def matrix64(self) -> np.ndarray:
-        return self.vectors.astype(np.float64)
-
 
 def save_embeddings(path, embs: EmbeddingSet) -> None:
     with open(path, "wb") as fh:
@@ -79,6 +77,8 @@ def save_embeddings(path, embs: EmbeddingSet) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
+    """Read an NXTP file; a truncated, corrupt or over-long file raises
+    ValueError naming the path."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -86,12 +86,21 @@ def load_embeddings(path) -> EmbeddingSet:
         magic, version, count, dim = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        record = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
-        body = fh.read(record.itemsize * count)
-        if len(body) != record.itemsize * count:
+        # Sizes are checked against the file before anything is allocated.
+        size = _HEADER.size + count * (8 + 4 * dim)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < size:
             raise ValueError(f"{path}: truncated embedding payload")
-        if fh.read(1):
+        if actual > size:
             raise ValueError(f"{path}: trailing bytes after {count} records")
+        try:
+            record = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad dim {dim} ({exc})") from None
+        body = fh.read(record.itemsize * count)
     data = np.frombuffer(body, dtype=record)
-    return EmbeddingSet(data["id"].copy(), data["vec"].copy(), version=version,
-                        check_norm=False)
+    try:
+        return EmbeddingSet(data["id"].copy(), data["vec"].copy(), version=version,
+                            check_norm=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

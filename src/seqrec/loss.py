@@ -24,23 +24,6 @@ from .configs import LossConfig
 log = logging.getLogger(__name__)
 
 
-def scaled_cross_entropy(anchor, positive, negatives, s: float) -> float:
-    """Softmax cross-entropy over [positive; negatives] with logits s*cosine.
-
-    All vectors must be unit-norm. With no negatives the loss is exactly 0.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    cands = [np.asarray(positive, dtype=np.float64)]
-    cands.extend(np.asarray(n, dtype=np.float64) for n in negatives)
-    for v in [anchor] + cands:
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-4:
-            raise ValueError(f"expected unit-norm vectors, got norm {norm:.6f}")
-    logits = s * np.array([float(anchor @ c) for c in cands])
-    m = logits.max()
-    return float(np.log(np.exp(logits - m).sum()) + m - logits[0])
-
-
 @dataclass(eq=False)
 class NegativePool:
     """Unique candidate posts with per-batch-row ownership.

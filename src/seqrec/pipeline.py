@@ -70,20 +70,13 @@ def _from_world(bundle: WorldBundle, post_encoder: PostEncoder,
 def prepare(dataset_cfg: DatasetConfig, seed: int, enc_cfg: EncoderConfig,
             eval_holdout_days: int = 3, m: int = 5,
             min_interactions: int = 2, drop_integrity: bool = True,
-            encoder_mode: str = "oracle", oracle_sigma: float = 0.1,
-            post_tower=None, max_train_per_user: int = 4,
+            oracle_sigma: float = 0.1, max_train_per_user: int = 4,
             sample_stride: int | None = None,
             target_window_days: int | None = None) -> PipelineData:
-    """Generate a world, filter it, embed its posts and cut train/eval samples."""
+    """Generate a world, filter it, embed its posts with the oracle encoder and
+    cut train/eval samples."""
     bundle = build_world(dataset_cfg, seed)
-    if encoder_mode == "oracle":
-        penc = PostEncoder("oracle", dataset_cfg, oracle_sigma=oracle_sigma,
-                           oracle_seed=seed)
-    else:
-        if post_tower is None:
-            raise ValueError("trained encoder mode needs (params, tower_cfg)")
-        params, tower_cfg = post_tower
-        penc = PostEncoder("trained", dataset_cfg, tower_cfg=tower_cfg, params=params)
+    penc = PostEncoder("oracle", dataset_cfg, oracle_sigma=oracle_sigma, oracle_seed=seed)
     return _from_world(bundle, penc, penc.encode_all(bundle.posts),
                        max_seq_len=enc_cfg.max_seq_len, m=m,
                        eval_holdout_days=eval_holdout_days,

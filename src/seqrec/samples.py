@@ -4,9 +4,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .actions import ActionType
 from .world import SECONDS_PER_DAY
 
 
@@ -190,18 +187,3 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
                 made += 1
             end -= stride
     return train, eval_
-
-
-def action_predictiveness(events: list, embeddings) -> dict:
-    """Mean cosine between each event's post and the user's next engaged post,
-    sliced by action type. Actions that never occur are omitted."""
-    sums: dict[ActionType, float] = {}
-    counts: dict[ActionType, int] = {}
-    for uid, stream in events_by_user(events).items():
-        for cur, nxt in zip(stream, stream[1:]):
-            a = embeddings.vector(cur.post_id)
-            b = embeddings.vector(nxt.post_id)
-            c = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-            sums[cur.action] = sums.get(cur.action, 0.0) + c
-            counts[cur.action] = counts.get(cur.action, 0) + 1
-    return {a: sums[a] / counts[a] for a in sorted(sums, key=int)}

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configs import EncoderConfig
+from .embeddings import EmbeddingSet
 from .encoder import encode_user_vectors
 from .samples import SequenceSample, events_by_user, history_before
 from .world import SECONDS_PER_DAY
@@ -168,7 +169,9 @@ class ServingSim:
             batch_samples.append(SequenceSample(uid, hist, [], cutoff_ts))
             batch_uids.append(uid)
         if batch_samples:
-            embs = _SnapshotEmbeddings(post_snap, self.enc_cfg.d_model)
+            ids = sorted({h.post_id for s in batch_samples for h in s.history})
+            embs = EmbeddingSet(ids, [post_snap[pid].vector for pid in ids],
+                                check_norm=False)
             vecs = encode_user_vectors(batch_samples, embs, self.params,
                                        self.enc_cfg, self.surfaces)
             for uid, vec in zip(batch_uids, vecs):
@@ -220,66 +223,3 @@ class ServingSim:
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.query_log:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-class _SnapshotEmbeddings:
-    """Adapter exposing a store snapshot through the EmbeddingSet interface."""
-
-    def __init__(self, snap: dict, dim: int):
-        self._snap = snap
-        self.dim = dim
-
-    def _entry(self, post_id: int) -> StoreEntry:
-        entry = self._snap.get(int(post_id))
-        if entry is None:
-            raise KeyError(f"no embedding for post id {post_id}")
-        return entry
-
-    def vector(self, post_id: int) -> np.ndarray:
-        return self._entry(post_id).vector.astype(np.float64)
-
-    def gather(self, post_ids) -> np.ndarray:
-        # Rows are widened to float64 as they are copied in: a whole batch's
-        # history is one gather, so no per-row temporaries are kept.
-        out = np.empty((len(post_ids), self.dim))
-        for i, pid in enumerate(post_ids):
-            out[i] = self._entry(pid).vector
-        return out
-
-
-def calibrate_threshold(sim: ServingSim, validation: list, k: int,
-                        target_precision: float) -> tuple[float, float, float]:
-    """Smallest threshold whose retained results reach the target precision.
-
-    validation is [(user_id, relevant_post_ids)]; relevance of a returned item
-    is membership in that set. Returns (threshold, precision, recall). With an
-    unattainable target the max observed score is returned with a warning.
-    """
-    scored: list[tuple[float, bool]] = []
-    n_relevant_total = 0
-    for uid, relevant in validation:
-        relevant = set(relevant)
-        n_relevant_total += len(relevant)
-        res = sim.retrieve(uid, k, threshold=-1.0)
-        for pid, sc in res.ranked:
-            scored.append((sc, pid in relevant))
-    if target_precision <= 0 or not scored:
-        return -1.0, _precision(scored, -1.0), _recall(scored, -1.0, n_relevant_total)
-    for t in sorted({sc for sc, _ in scored}):
-        if _precision(scored, t) >= target_precision:
-            return t, _precision(scored, t), _recall(scored, t, n_relevant_total)
-    t = max(sc for sc, _ in scored)
-    log.warning("calibrate_threshold: target precision %.3f unattainable; "
-                "returning max-score threshold", target_precision)
-    return t, _precision(scored, t), _recall(scored, t, n_relevant_total)
-
-
-def _precision(scored: list, threshold: float) -> float:
-    kept = [rel for sc, rel in scored if sc >= threshold]
-    return sum(kept) / len(kept) if kept else 0.0
-
-
-def _recall(scored: list, threshold: float, n_relevant: int) -> float:
-    if n_relevant == 0:
-        return 0.0
-    return sum(1 for sc, rel in scored if sc >= threshold and rel) / n_relevant

@@ -7,6 +7,8 @@ bit-exactly; loading yields float64 arrays carrying the exact float32 values.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -41,6 +43,25 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> dict:
     return quantize(tensors)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_manifest(manifest, path) -> None:
+    """Reject a manifest whose structure is not {"tensors": {name: {"shape":
+    [dims], "offset": int}}, "meta": {...}} with non-negative ints."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
+        raise ValueError(f"{path}: checkpoint manifest has no tensors table")
+    if not isinstance(manifest.get("meta", {}), dict):
+        raise ValueError(f"{path}: checkpoint meta is not an object")
+    for name, entry in manifest["tensors"].items():
+        if not (isinstance(entry, dict) and _is_count(entry.get("offset"))
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(d) for d in entry["shape"])):
+            raise ValueError(f"{path}: tensor {name!r} needs a non-negative int offset "
+                             f"and a list of non-negative int dims, got {entry!r}")
+
+
 def load_tensors(path) -> tuple[dict, dict]:
     """Read (tensors, meta); tensors come back float64 with exact f32 values.
 
@@ -53,24 +74,29 @@ def load_tensors(path) -> tuple[dict, dict]:
         if len(head) != 4:
             raise ValueError(f"{path}: truncated checkpoint header")
         (blob_len,) = struct.unpack("<I", head)
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
+        if 8 + blob_len > os.fstat(fh.fileno()).st_size:
             raise ValueError(f"{path}: truncated checkpoint manifest")
+        blob = fh.read(blob_len)
         try:
             manifest = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: corrupt checkpoint manifest ({exc})") from None
+        _check_manifest(manifest, path)
         payload = fh.read()
     tensors = {}
     end = 0
     for name, entry in manifest["tensors"].items():
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         stop = entry["offset"] + 4 * count
         if stop > len(payload):
             raise ValueError(f"{path}: truncated checkpoint payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        try:
+            arr = np.frombuffer(payload, dtype="<f4", count=count,
+                                offset=entry["offset"]).reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: tensor {name!r}: {exc}") from None
+        tensors[name] = arr.astype(np.float64)
         end = max(end, stop)
     if end != len(payload):
         raise ValueError(f"{path}: {len(payload) - end} trailing bytes after the tensors")

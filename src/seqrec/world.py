@@ -89,9 +89,6 @@ class WorldBundle:
     events: list
     topic_centers: np.ndarray = field(default=None)  # (n_topics, topic_dim)
 
-    def post_by_id(self) -> dict:
-        return {p.post_id: p for p in self.posts}
-
 
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm`` of a vector, bit for bit, without its overhead."""

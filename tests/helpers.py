@@ -14,6 +14,24 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
+def scaled_cross_entropy(anchor, positive, negatives, s: float) -> float:
+    """Softmax cross-entropy over [positive; negatives] with logits s*cosine.
+
+    The scalar reference for `loss._ce_terms`. All vectors must be unit-norm.
+    With no negatives the loss is exactly 0.
+    """
+    anchor = np.asarray(anchor, dtype=np.float64)
+    cands = [np.asarray(positive, dtype=np.float64)]
+    cands.extend(np.asarray(n, dtype=np.float64) for n in negatives)
+    for v in [anchor] + cands:
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > 1e-4:
+            raise ValueError(f"expected unit-norm vectors, got norm {norm:.6f}")
+    logits = s * np.array([float(anchor @ c) for c in cands])
+    m = logits.max()
+    return float(np.log(np.exp(logits - m).sum()) + m - logits[0])
+
+
 def random_embeddings(n: int, dim: int, seed: int = 0) -> EmbeddingSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     vecs = unit_rows(rng.standard_normal((n, dim)))

@@ -14,7 +14,7 @@ from seqrec.configs import DatasetConfig, EncoderConfig, LossConfig, TrainConfig
 from seqrec.encoder import (
     assemble_batch_inputs, encode_batch, init_params, load_checkpoint,
 )
-from seqrec.loss import scaled_cross_entropy
+from seqrec.loss import NegativePool, _ce_terms
 from seqrec.metrics import batch_hits_at_k, knn_hits_at_k, knn_top_ids
 from seqrec.pipeline import prepare
 from seqrec.trainer import train
@@ -88,20 +88,34 @@ def test_c2_gradient_oracle():
 
 # -- 3. Eq.-style loss exactness ----------------------------------------------
 
+def _ce_one_anchor(anchor, positive, negatives, s: float) -> float:
+    """Training's CE core, `loss._ce_terms`, for one anchor of batch row 0
+    against negatives that batch row 1 contributed, so none is masked."""
+    anchor = np.asarray(anchor, dtype=np.float64)
+    vectors = np.asarray(negatives, dtype=np.float64).reshape(len(negatives), len(anchor))
+    owners = np.zeros((2, len(vectors)), dtype=bool)
+    owners[1] = True
+    pool = NegativePool(ids=np.arange(len(vectors), dtype=np.int64), vectors=vectors,
+                        owners=owners)
+    loss, _ = _ce_terms(anchor[None, :], np.asarray(positive, dtype=np.float64)[None, :],
+                        pool, np.zeros(1, dtype=np.int64), s)
+    return loss
+
+
 def test_c3_scaled_ce_exactness():
     a = np.array([1.0, 0.0, 0.0])
-    zero = scaled_cross_entropy(a, a, [], s=16.0)
+    zero = _ce_one_anchor(a, a, [], s=16.0)
     errs = []
     for n in (2, 17, 1024):
         cand = np.array([0.0, 1.0, 0.0])
-        loss = scaled_cross_entropy(a, cand, [cand] * (n - 1), s=16.0)
+        loss = _ce_one_anchor(a, cand, [cand] * (n - 1), s=16.0)
         errs.append(abs(loss - math.log(n)))
     pos = np.array([1.0, 0.0])
     neg = np.array([0.0, 1.0])
-    worked = scaled_cross_entropy(np.array([1.0, 0.0]), pos, [neg], s=15.0)
+    worked = _ce_one_anchor(np.array([1.0, 0.0]), pos, [neg], s=15.0)
     worked_err = abs(worked - math.log1p(math.exp(-15.0)))
     ok = zero == 0.0 and max(errs) < 1e-9 and worked_err < 1e-12
-    verdict("C3 loss exactness",
+    verdict("C3 loss exactness (loss._ce_terms)",
             ok,
             f"no-negatives loss {zero!r}; ln(n) errs {[f'{e:.1e}' for e in errs]} "
             f"(< 1e-9); s=15 worked example err {worked_err:.1e} (< 1e-12)")

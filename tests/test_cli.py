@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from seqrec.cli import main, replay_manifest
+from seqrec.cli import _resolve, main, replay_manifest
 from seqrec.manifest import RunManifest
 
 
@@ -69,6 +69,27 @@ class TestUsageErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nonsense": {}}))
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    def test_unknown_pipeline_key_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pipeline": {"eval_holdout_dayz": 5}}))
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "eval_holdout_dayz" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [[], {"pipeline": 5}, {"loss": ["m", 3]}])
+    def test_non_object_config_exit_1(self, tmp_path, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    def test_every_pipeline_key_resolves(self):
+        pipe = {"eval_holdout_days": 5, "min_interactions": 1, "drop_integrity": False,
+                "oracle_sigma": 0.2, "target_window_days": 4}
+        assert _resolve({"pipeline": pipe}, {})["pipeline"] == pipe
+        assert _resolve({}, {})["pipeline"] == {
+            "eval_holdout_days": 3, "min_interactions": 2, "drop_integrity": True,
+            "oracle_sigma": 0.1}
 
     def test_runtime_failure_exit_2(self, tmp_path, world_cfg):
         # train against a world directory that does not exist
@@ -233,3 +254,26 @@ class TestSweepCommand:
         assert [r["slice"]["seq_len"] for r in reports] == [4, 8]
         assert all(r["slice"]["secs_per_step"] > 0 for r in reports)
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--values", "4,x"), ("--values", "8,4"), ("--values", "4,4"),
+        ("--values", "0,4"), ("--values", ""), ("--seeds", "0,y")])
+    def test_malformed_list_is_usage_error(self, tmp_path, world_cfg, world_dir,
+                                           capsys, flag, text):
+        argv = {"--values": "4,8", "--seeds": "0", flag: text}
+        rc = main(["sweep", "--config", str(world_cfg), "--world", str(world_dir),
+                   "--axis", "seq_len", "--values", argv["--values"],
+                   "--seeds", argv["--seeds"], "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_replay_reproduces_sweep(self, tmp_path, world_cfg, world_dir):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(world_cfg), "--world", str(world_dir),
+                     "--axis", "layers", "--values", "1,2", "--seeds", "3",
+                     "--out", str(out)]) == 0
+        man = RunManifest.load(out / "manifest.json")
+        assert (man.config["cli_args"]["values"], man.config["cli_args"]["seeds"]) == ("1,2", "3")
+        replayed = replay_manifest(out / "manifest.json", tmp_path / "replay")
+        _assert_same_metrics(replayed, man.metrics)
+        assert set(man.metrics) == {"hits1_layers_1", "hits1_layers_2"}

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,21 @@ class TestFileFormat:
         save_embeddings(tmp_path / "0.nxtp", embs)
         loaded = load_embeddings(tmp_path / "0.nxtp")
         assert len(loaded) == 0 and loaded.dim == 8 and loaded.version == 3
+
+    @pytest.mark.parametrize("n,field,value,message", [
+        (3, "count", 0xFFFFFFFF, "truncated embedding payload"),
+        (3, "dim", 0xFFFFFFFF, "truncated embedding payload"),
+        (0, "dim", 0xFFFFFFFF, "bad dim 4294967295"),
+        (3, "ids", None, "duplicate ids"),
+    ])
+    def test_corrupt_header_or_ids_name_the_path(self, tmp_path, n, field, value, message):
+        path = tmp_path / "bad.nxtp"
+        save_embeddings(path, random_embeddings(n, 4, seed=2))
+        raw = bytearray(path.read_bytes())
+        if field == "ids":
+            raw[16 + 24:16 + 32] = raw[16:24]                 # record 1 repeats record 0's id
+        else:
+            struct.pack_into("<I", raw, {"count": 8, "dim": 12}[field], value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+            load_embeddings(path)

@@ -6,12 +6,12 @@ import pytest
 from seqrec.configs import EncoderConfig, LossConfig
 from seqrec.encoder import assemble_batch_inputs, encode_batch, init_params
 from seqrec.loss import (
-    _ce_terms, build_pool, long_term_loss, sample_negatives, scaled_cross_entropy,
-    short_term_loss, total_loss,
+    _ce_terms, build_pool, long_term_loss, sample_negatives, short_term_loss,
+    total_loss,
 )
 from seqrec.samples import HistoryItem, SequenceSample
 
-from helpers import make_samples, random_embeddings, unit_rows
+from helpers import make_samples, random_embeddings, scaled_cross_entropy, unit_rows
 
 SURFACES = {"feed": 0, "search": 1}
 

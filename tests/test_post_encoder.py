@@ -230,7 +230,7 @@ class TestTrainedMode:
                 penc = PostEncoder("trained", tiny_world.config, tower_cfg=cfg,
                                    params=params)
                 embs = penc.encode_all(held_out)
-                vecs = embs.matrix64()
+                vecs = embs.vectors.astype(np.float64)
                 topic_ids = np.array([p.topic_id for p in held_out])
                 sims = vecs @ vecs.T
                 same = sims[np.equal.outer(topic_ids, topic_ids) & ~np.eye(len(held_out), dtype=bool)]

@@ -12,10 +12,7 @@ from seqrec.encoder import init_params
 from seqrec.metrics import knn_top_ids
 from seqrec.post_encoder import PostEncoder
 from seqrec.samples import history_before
-from seqrec.serving import (
-    ColdUserError, EmbeddingStore, IntegrityRejectedError, ServingSim,
-    calibrate_threshold,
-)
+from seqrec.serving import ColdUserError, EmbeddingStore, IntegrityRejectedError, ServingSim
 from seqrec.world import SECONDS_PER_DAY, InteractionEvent, build_world
 
 
@@ -166,7 +163,7 @@ class TestRefreshUsers:
         sim, bundle = make_sim(sim_world)
         sim.bootstrap_posts(day=10)
         sim.refresh_users(bundle.events, day=10)
-        by_id = bundle.post_by_id()
+        by_id = {p.post_id: p for p in bundle.posts}
         cutoff = 10 * SECONDS_PER_DAY
         per_user = {}
         for e in bundle.events:
@@ -247,19 +244,6 @@ class TestRefreshUsers:
         assert (f"user {self.NEW_USER} history references post {self.MISSING_POST} "
                 "with no served embedding; skipping user") in caplog.text
 
-    def test_snapshot_gather_matches_vector(self, sim_world):
-        from seqrec.serving import _SnapshotEmbeddings
-        sim, _ = make_sim(sim_world)
-        sim.bootstrap_posts(day=8)
-        snap = sim.post_store.snapshot()[1]
-        embs = _SnapshotEmbeddings(snap, sim.enc_cfg.d_model)
-        ids = sorted(snap)[:5] + sorted(snap)[:2]
-        got = embs.gather(ids)
-        assert got.tobytes() == np.stack([embs.vector(pid) for pid in ids]).tobytes()
-        assert embs.gather([]).shape == (0, sim.enc_cfg.d_model)
-        with pytest.raises(KeyError, match="987654"):
-            embs.gather(ids[:1] + [987654])
-
 
 class TestRetrieve:
     def _ready_sim(self, sim_world, day=10):
@@ -335,54 +319,3 @@ class TestRetrieve:
         score = res.ranked[0][1]
         assert sim.retrieve(1, 5, threshold=score).ranked != []
         assert sim.retrieve(1, 5, threshold=score + 1e-9).ranked == []
-
-
-class TestCalibrateThreshold:
-    def _validation(self, sim_world):
-        sim, bundle = make_sim(sim_world)
-        sim.bootstrap_posts(day=10)
-        sim.refresh_users(bundle.events, day=10)
-        per_user = {}
-        for e in bundle.events:
-            if e.ts >= 10 * SECONDS_PER_DAY:
-                per_user.setdefault(e.user_id, set()).add(e.post_id)
-        validation = [(u, ids) for u, ids in sorted(per_user.items())
-                      if sim.user_store.get(u) is not None][:30]
-        return sim, validation
-
-    def test_target_zero_keeps_all(self, sim_world):
-        sim, validation = self._validation(sim_world)
-        t, prec, rec = calibrate_threshold(sim, validation, k=10, target_precision=0.0)
-        assert t == -1.0
-
-    def test_precision_at_threshold_meets_target(self, sim_world):
-        sim, validation = self._validation(sim_world)
-        t0, base_prec, _ = calibrate_threshold(sim, validation, k=10, target_precision=0.0)
-        target = min(0.95, base_prec * 1.5 + 0.05)
-        t, prec, rec = calibrate_threshold(sim, validation, k=10, target_precision=target)
-        if prec >= target:          # attainable
-            assert t >= t0
-        # recount oracle: recompute precision from scratch at that threshold
-        kept = rel_kept = 0
-        for uid, relevant in validation:
-            res = sim.retrieve(uid, 10, threshold=-1.0)
-            for pid, sc in res.ranked:
-                if sc >= t:
-                    kept += 1
-                    rel_kept += pid in relevant
-        assert kept == 0 or abs(rel_kept / kept - prec) < 1e-12
-
-    def test_separable_scores_reach_precision_one(self):
-        class StubSim:
-            def __init__(self):
-                self.data = {1: [(10, 0.9), (11, 0.8), (12, 0.2)],
-                             2: [(20, 0.95), (21, 0.1)]}
-            def retrieve(self, uid, k, threshold=-1.0):
-                from seqrec.serving import QueryResult
-                return QueryResult(ranked=self.data[uid], filtered_count=0)
-        sim = StubSim()
-        validation = [(1, {10, 11}), (2, {20})]
-        t, prec, rec = calibrate_threshold(sim, validation, k=3, target_precision=1.0)
-        assert prec == 1.0
-        assert 0.2 < t <= 0.8
-        assert rec == 1.0

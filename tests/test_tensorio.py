@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -42,7 +43,29 @@ def test_rejects_wrong_magic(tmp_path):
         load_tensors(tmp_path / "junk.ckpt")
 
 
+def _with_manifest(data: bytes, edit) -> bytes:
+    """The file with its manifest passed through edit (header rewritten)."""
+    blob_end = 8 + struct.unpack("<I", data[4:8])[0]
+    manifest = json.loads(data[8:blob_end])
+    edit(manifest)
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return data[:4] + struct.pack("<I", len(blob)) + blob + data[blob_end:]
+
+
+MANIFEST_EDITS = {
+    "tensorz": lambda m: m.update(tensorz=m.pop("tensors")),
+    "negative_offset": lambda m: m["tensors"]["b"].update(offset=-1),
+    "float_offset": lambda m: m["tensors"]["b"].update(offset=24.0),
+    "negative_dim": lambda m: m["tensors"]["a"].update(shape=[-2, 3]),
+    "shape_not_list": lambda m: m["tensors"]["a"].update(shape="2x3"),
+    "entry_not_object": lambda m: m["tensors"].update(b=[m["tensors"]["b"]]),
+    "meta_not_object": lambda m: m.update(meta=[1]),
+}
+
+
 def _damage(data: bytes, kind: str) -> bytes:
+    if kind in MANIFEST_EDITS:
+        return _with_manifest(data, MANIFEST_EDITS[kind])
     blob_end = 8 + struct.unpack("<I", data[4:8])[0]
     return {"header": data[:6],
             "manifest": data[:blob_end - 5],
@@ -51,7 +74,8 @@ def _damage(data: bytes, kind: str) -> bytes:
             "trailing": data + b"\x00" * 8}[kind]
 
 
-@pytest.mark.parametrize("kind", ["header", "manifest", "bad_json", "payload", "trailing"])
+@pytest.mark.parametrize("kind", ["header", "manifest", "bad_json", "payload", "trailing",
+                                  *MANIFEST_EDITS])
 def test_damaged_file_raises_value_error_naming_path(tmp_path, kind):
     good = tmp_path / "good.ckpt"
     save_tensors(good, {"a": np.ones((2, 3)), "b": np.arange(4.0)}, meta={"k": 1})

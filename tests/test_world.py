@@ -12,7 +12,7 @@ from seqrec.dataio import (
 )
 from seqrec.post_encoder import PostEncoder
 from seqrec.samples import (
-    HistoryItem, action_predictiveness, build_samples, filter_events, history_before,
+    HistoryItem, build_samples, events_by_user, filter_events, history_before,
 )
 from seqrec.world import (
     SECONDS_PER_DAY, InteractionEvent, build_world, generate_world, measure_week_survival,
@@ -96,6 +96,10 @@ class TestJsonlReaders:
         ("events", b'{"action": "like", "post_id": 3, "surface": "feed", "ts": "5", "user_id": 1}',
          "ts must be an integer, got '5'"),
         ("events", b'[1, 2]', "list indices must be integers"),
+        ("events", b'{"action": 5, "post_id": 3, "surface": "feed", "ts": 5, "user_id": 1}',
+         "action must be a string, got 5"),
+        ("events", b'{"action": "like", "post_id": 3, "surface": 0, "ts": 5, "user_id": 1}',
+         "surface must be a string, got 0"),
         ("posts", b'{"post_id": 3, "created_at": 0, "lifetime_days": 2, "topic": [0.1, ',
          "Expecting value"),
         ("posts", b'{"post_id": 3, "created_at": 0, "lifetime_days": 2}', "missing field"),
@@ -135,7 +139,7 @@ class TestWorldInvariants:
             assert abs(u.affinity_weights.sum() - 1.0) < 1e-6
 
     def test_events_inside_eligibility_window(self, small_bundle):
-        by_id = small_bundle.post_by_id()
+        by_id = {p.post_id: p for p in small_bundle.posts}
         for e in small_bundle.events:
             p = by_id[e.post_id]
             assert p.created_at <= e.day < p.created_at + p.lifetime_days
@@ -274,7 +278,24 @@ class TestHistoryBefore:
             HistoryItem(e.post_id, int(e.action), e.surface, e.ts) for e in self.STREAM]
 
 
+def action_predictiveness(events: list, embeddings) -> dict:
+    """Mean cosine between each event's post and the user's next engaged post,
+    sliced by action type. Actions that never occur are omitted."""
+    sums: dict[ActionType, float] = {}
+    counts: dict[ActionType, int] = {}
+    for uid, stream in events_by_user(events).items():
+        for cur, nxt in zip(stream, stream[1:]):
+            a = embeddings.vector(cur.post_id)
+            b = embeddings.vector(nxt.post_id)
+            c = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+            sums[cur.action] = sums.get(cur.action, 0.0) + c
+            counts[cur.action] = counts.get(cur.action, 0) + 1
+    return {a: sums[a] / counts[a] for a in sorted(sums, key=int)}
+
+
 class TestActionPredictiveness:
+    """The generator's action signal, measured by the helper above."""
+
     def test_high_signal_actions_more_predictive(self, small_bundle):
         cfg = small_bundle.config
         penc = PostEncoder("oracle", cfg, oracle_seed=small_bundle.seed)
