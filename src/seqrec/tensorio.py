@@ -83,13 +83,17 @@ def load_tensors(path) -> tuple[dict, dict]:
             raise ValueError(f"{path}: corrupt checkpoint manifest ({exc})") from None
         _check_manifest(manifest, path)
         payload = fh.read()
+    # The tensors tile the payload: each starts where the one before it ends.
     tensors = {}
     end = 0
-    for name, entry in manifest["tensors"].items():
+    for name, entry in sorted(manifest["tensors"].items(), key=lambda kv: kv[1]["offset"]):
+        if entry["offset"] != end:
+            raise ValueError(f"{path}: tensor {name!r} starts at payload byte "
+                             f"{entry['offset']}, not at {end}")
         shape = tuple(entry["shape"])
         count = math.prod(shape)
-        stop = entry["offset"] + 4 * count
-        if stop > len(payload):
+        end += 4 * count
+        if end > len(payload):
             raise ValueError(f"{path}: truncated checkpoint payload")
         try:
             arr = np.frombuffer(payload, dtype="<f4", count=count,
@@ -97,7 +101,6 @@ def load_tensors(path) -> tuple[dict, dict]:
         except ValueError as exc:
             raise ValueError(f"{path}: tensor {name!r}: {exc}") from None
         tensors[name] = arr.astype(np.float64)
-        end = max(end, stop)
     if end != len(payload):
         raise ValueError(f"{path}: {len(payload) - end} trailing bytes after the tensors")
     return tensors, manifest.get("meta", {})

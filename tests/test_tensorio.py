@@ -60,6 +60,9 @@ MANIFEST_EDITS = {
     "shape_not_list": lambda m: m["tensors"]["a"].update(shape="2x3"),
     "entry_not_object": lambda m: m["tensors"].update(b=[m["tensors"]["b"]]),
     "meta_not_object": lambda m: m.update(meta=[1]),
+    # b overlaps a and the payload's first 8 bytes belong to no tensor
+    "gap_and_overlap": lambda m: (m["tensors"]["a"].update(offset=16),
+                                  m["tensors"]["b"].update(offset=8)),
 }
 
 
