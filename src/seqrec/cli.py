@@ -20,10 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configs import (
-    DatasetConfig, EncoderConfig, LossConfig, TrainConfig, VARIANTS,
-    from_json_dict, to_json_dict,
-)
+from .configs import SECTIONS, VARIANTS, from_json_dict, to_json_dict
 from .dataio import write_events_jsonl, write_posts_jsonl
 from .embeddings import save_embeddings
 from .encoder import load_checkpoint
@@ -80,10 +77,6 @@ def _ascending_positive_ints(text: str) -> list:
     return values
 
 
-_PIPELINE_KEYS = ("eval_holdout_days", "min_interactions", "drop_integrity",
-                 "oracle_sigma", "target_window_days")
-
-
 def _load_sections(path) -> dict:
     if path is None:
         return {}
@@ -91,7 +84,7 @@ def _load_sections(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
         raise SystemExit1("a config file maps section names to JSON objects")
-    unknown = set(data) - {"dataset", "encoder", "loss", "train", "pipeline"}
+    unknown = set(data) - set(SECTIONS)
     if unknown:
         raise SystemExit1(f"unknown config sections {sorted(unknown)}")
     return data
@@ -100,32 +93,17 @@ def _load_sections(path) -> dict:
 def _resolve(sections: dict, flag_overrides: dict) -> dict:
     """defaults <- config file <- flags; returns plain dicts per section."""
     configs = {name: from_json_dict(cls, sections.get(name, {}))
-               for name, cls in (("dataset", DatasetConfig), ("encoder", EncoderConfig),
-                                 ("loss", LossConfig), ("train", TrainConfig))}
-    unknown = set(sections.get("pipeline", {})) - set(_PIPELINE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown pipeline keys: {sorted(unknown)}")
-    pipe = dict({"eval_holdout_days": 3, "min_interactions": 2,
-                 "drop_integrity": True, "oracle_sigma": 0.1},
-                **sections.get("pipeline", {}))
+               for name, cls in SECTIONS.items()}
     for key, value in flag_overrides.items():
         section, name = key.split(".", 1)
-        if value is None:
-            continue
-        if section == "pipeline":
-            pipe[name] = value
-        else:
+        if value is not None:
             configs[section] = dataclasses.replace(configs[section], **{name: value})
-    return {**{name: to_json_dict(cfg) for name, cfg in configs.items()},
-            "pipeline": pipe}
+    return {name: to_json_dict(cfg) for name, cfg in configs.items()}
 
 
-def _cfgs(resolved: dict):
-    return (from_json_dict(DatasetConfig, resolved["dataset"]),
-            from_json_dict(EncoderConfig, resolved["encoder"]),
-            from_json_dict(LossConfig, resolved["loss"]),
-            from_json_dict(TrainConfig, resolved["train"]),
-            resolved["pipeline"])
+def _cfgs(resolved: dict) -> tuple:
+    """The five section dataclasses of a resolved config, in SECTIONS order."""
+    return tuple(from_json_dict(cls, resolved[name]) for name, cls in SECTIONS.items())
 
 
 def _world_inputs(world_dir: Path, *extra) -> dict:
@@ -144,13 +122,12 @@ def _embeddings_path(world_dir: Path, embeddings_path) -> Path:
 # ---------------------------------------------------------------------------
 
 def run_gen_data(resolved: dict, out: Path) -> tuple[dict, dict, list]:
-    dataset, _, _, _, pipe = _cfgs(resolved)
-    seed = resolved["train"]["seed"]
+    dataset, _, _, train_cfg, pipe = _cfgs(resolved)
+    seed = train_cfg.seed
     posts, users, events = generate_world(dataset, seed)
     write_posts_jsonl(out / "posts.jsonl", posts)
     write_events_jsonl(out / "events.jsonl", events)
-    penc = PostEncoder("oracle", dataset, oracle_sigma=pipe["oracle_sigma"],
-                       oracle_seed=seed)
+    penc = PostEncoder("oracle", dataset, oracle_sigma=pipe.oracle_sigma, oracle_seed=seed)
     save_embeddings(out / "embeddings.nxtp", penc.encode_all(posts))
     metrics = {"n_posts": len(posts), "n_users": len(users), "n_events": len(events)}
     outputs = [str(out / n) for n in ("posts.jsonl", "events.jsonl", "embeddings.nxtp")]
@@ -312,7 +289,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("train-post-tower", help="train the content post tower")
     common(sp)
-    sp.add_argument("--epochs", type=int, default=None)
 
     sp = sub.add_parser("train", help="train a user-tower variant")
     common(sp)

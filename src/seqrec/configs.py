@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from typing import Any
 
@@ -205,15 +206,73 @@ class BackfillPolicy:
             raise ValueError("marginal_threshold and fill_to must be >= 1")
 
 
+@dataclass
+class PipelineConfig:
+    """How a world's events become samples: the integrity filter, the eval
+    holdout, the oracle post encoder's noise and the target window."""
+
+    eval_holdout_days: int = 3
+    min_interactions: int = 2
+    drop_integrity: bool = True
+    oracle_sigma: float = 0.1
+    target_window_days: int | None = None   # None: targets from the whole holdout
+
+    def __post_init__(self) -> None:
+        if self.eval_holdout_days < 1:
+            raise ValueError("eval_holdout_days must be >= 1")
+        if self.min_interactions < 0:
+            raise ValueError("min_interactions must be >= 0")
+        if not (math.isfinite(self.oracle_sigma) and self.oracle_sigma >= 0):
+            raise ValueError(f"oracle_sigma must be finite and >= 0 (got {self.oracle_sigma})")
+        if self.target_window_days is not None and self.target_window_days < 1:
+            raise ValueError("target_window_days must be null or >= 1")
+
+
+# Config file section -> its dataclass, in the order runs unpack them.
+SECTIONS = {"dataset": DatasetConfig, "encoder": EncoderConfig, "loss": LossConfig,
+            "train": TrainConfig, "pipeline": PipelineConfig}
+
+
 def to_json_dict(cfg: Any) -> dict:
     """Dataclass -> plain JSON-serializable dict (tuples become lists)."""
     return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
+# Field type -> (what its JSON value must be, test of the value). A JSON
+# boolean loads as a Python int, so the number tests exclude it.
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[str, ...]: ("a list of strings",
+                      lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("a list", lambda v: isinstance(v, list)),
+}
+
+
 def from_json_dict(cls, data: dict):
-    """Build a config dataclass from a dict, rejecting unknown keys."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    """Build a dataclass from a JSON object, rejecting unknown and missing keys
+    and values whose JSON type does not fit the field."""
+    label = next((name for name, c in SECTIONS.items() if c is cls), cls.__name__)
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} must be a JSON object, got {type(data).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if name not in data and
+               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing {label} keys: {missing}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        hint, nullable = hints[key], type(None) in typing.get_args(hints[key])
+        if nullable:                                      # X | None
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        what, ok = _JSON_TYPES[hint]
+        if not (ok(value) or nullable and value is None):
+            raise ValueError(f"{label}.{key} must be {what}{' or null' if nullable else ''}, "
+                             f"got {json.dumps(value, default=repr)}")
     return cls(**data)

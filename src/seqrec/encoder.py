@@ -33,7 +33,7 @@ from .blocks import (
     xavier,
 )
 from . import tensorio
-from .configs import EncoderConfig
+from .configs import EncoderConfig, from_json_dict
 
 __all__ = [
     "init_params", "assemble_batch_inputs",
@@ -348,5 +348,8 @@ def save_checkpoint(path, params: dict, config: EncoderConfig,
 
 def load_checkpoint(path) -> tuple[dict, EncoderConfig, dict]:
     params, meta = tensorio.load_tensors(path)
-    config = EncoderConfig(**meta["config"])
+    try:
+        config = from_json_dict(EncoderConfig, meta.get("config"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint meta: {exc}") from None
     return params, config, meta.get("extra", {})

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configs import from_json_dict
+
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
@@ -43,8 +45,12 @@ class RunManifest:
 
     @staticmethod
     def load(path) -> "RunManifest":
+        """Read a manifest; malformed JSON or fields raise ValueError naming the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            return RunManifest(**json.load(fh))
+            try:
+                return from_json_dict(RunManifest, json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def new_manifest(command: str, config: dict, seed: int) -> RunManifest:

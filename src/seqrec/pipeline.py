@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .configs import DatasetConfig, EncoderConfig, from_json_dict
+from .configs import SECTIONS, DatasetConfig, EncoderConfig, PipelineConfig, from_json_dict
 from .dataio import read_events_jsonl, read_posts_jsonl
 from .embeddings import EmbeddingSet, load_embeddings
 from .manifest import RunManifest
@@ -46,45 +46,36 @@ class PipelineData:
 
 
 def _from_world(bundle: WorldBundle, post_encoder: PostEncoder,
-                embeddings: EmbeddingSet, *, max_seq_len: int, m: int,
-                eval_holdout_days: int, min_interactions: int,
-                drop_integrity: bool, max_train_per_user: int,
-                sample_stride: int | None,
-                target_window_days: int | None) -> PipelineData:
+                embeddings: EmbeddingSet, pipe: PipelineConfig, *, max_seq_len: int,
+                m: int, max_train_per_user: int,
+                sample_stride: int | None) -> PipelineData:
     """Filter the world's events, cut samples and fix the holdout boundary."""
-    events = filter_events(bundle.events, min_interactions=min_interactions,
-                           drop_integrity=drop_integrity, posts=bundle.posts)
+    events = filter_events(bundle.events, min_interactions=pipe.min_interactions,
+                           drop_integrity=pipe.drop_integrity, posts=bundle.posts)
     train, eval_ = build_samples(events, L_max=max_seq_len, m=m,
-                                 eval_holdout_days=eval_holdout_days,
+                                 eval_holdout_days=pipe.eval_holdout_days,
                                  stride=sample_stride,
                                  max_train_per_user=max_train_per_user,
-                                 target_window_days=target_window_days)
+                                 target_window_days=pipe.target_window_days)
     surfaces = {name: i for i, name in enumerate(bundle.config.surfaces)}
     return PipelineData(bundle=bundle, events=events, embeddings=embeddings,
                         post_encoder=post_encoder, train=train, eval=eval_,
                         surfaces=surfaces,
-                        holdout_start_ts=holdout_start_ts(events, eval_holdout_days),
-                        eval_holdout_days=eval_holdout_days)
+                        holdout_start_ts=holdout_start_ts(events, pipe.eval_holdout_days),
+                        eval_holdout_days=pipe.eval_holdout_days)
 
 
-def prepare(dataset_cfg: DatasetConfig, seed: int, enc_cfg: EncoderConfig,
-            eval_holdout_days: int = 3, m: int = 5,
-            min_interactions: int = 2, drop_integrity: bool = True,
-            oracle_sigma: float = 0.1, max_train_per_user: int = 4,
-            sample_stride: int | None = None,
-            target_window_days: int | None = None) -> PipelineData:
+def prepare(dataset_cfg: DatasetConfig, seed: int, enc_cfg: EncoderConfig, m: int = 5,
+            max_train_per_user: int = 4, sample_stride: int | None = None,
+            **pipeline) -> PipelineData:
     """Generate a world, filter it, embed its posts with the oracle encoder and
-    cut train/eval samples."""
+    cut train/eval samples. `pipeline` holds PipelineConfig keys."""
+    pipe = from_json_dict(PipelineConfig, pipeline)
     bundle = build_world(dataset_cfg, seed)
-    penc = PostEncoder("oracle", dataset_cfg, oracle_sigma=oracle_sigma, oracle_seed=seed)
-    return _from_world(bundle, penc, penc.encode_all(bundle.posts),
+    penc = PostEncoder("oracle", dataset_cfg, oracle_sigma=pipe.oracle_sigma, oracle_seed=seed)
+    return _from_world(bundle, penc, penc.encode_all(bundle.posts), pipe,
                        max_seq_len=enc_cfg.max_seq_len, m=m,
-                       eval_holdout_days=eval_holdout_days,
-                       min_interactions=min_interactions,
-                       drop_integrity=drop_integrity,
-                       max_train_per_user=max_train_per_user,
-                       sample_stride=sample_stride,
-                       target_window_days=target_window_days)
+                       max_train_per_user=max_train_per_user, sample_stride=sample_stride)
 
 
 def load_pipeline(world_dir, resolved: dict, embeddings_path=None) -> PipelineData:
@@ -103,19 +94,16 @@ def load_pipeline(world_dir, resolved: dict, embeddings_path=None) -> PipelineDa
     dataset = from_json_dict(DatasetConfig, man.config["dataset"])
     bundle = WorldBundle(config=dataset, seed=man.seed, posts=posts, users=[],
                          events=events)
-    pipe = resolved["pipeline"]
-    penc = PostEncoder("oracle", dataset, oracle_sigma=pipe["oracle_sigma"],
+    enc_cfg, loss_cfg, train_cfg, pipe = (
+        from_json_dict(SECTIONS[name], resolved[name])
+        for name in ("encoder", "loss", "train", "pipeline"))
+    penc = PostEncoder("oracle", dataset, oracle_sigma=pipe.oracle_sigma,
                        oracle_seed=man.seed)
     embeddings = load_embeddings(embeddings_path or world_dir / "embeddings.nxtp")
-    return _from_world(bundle, penc, embeddings,
-                       max_seq_len=resolved["encoder"]["max_seq_len"],
-                       m=resolved["loss"]["m"],
-                       eval_holdout_days=pipe["eval_holdout_days"],
-                       min_interactions=pipe["min_interactions"],
-                       drop_integrity=pipe["drop_integrity"],
-                       max_train_per_user=resolved["train"]["max_train_samples_per_user"],
-                       sample_stride=resolved["train"]["sample_stride"],
-                       target_window_days=pipe.get("target_window_days"))
+    return _from_world(bundle, penc, embeddings, pipe,
+                       max_seq_len=enc_cfg.max_seq_len, m=loss_cfg.m,
+                       max_train_per_user=train_cfg.max_train_samples_per_user,
+                       sample_stride=train_cfg.sample_stride)
 
 
 def alive_corpus(posts: list, embeddings: EmbeddingSet,

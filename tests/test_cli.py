@@ -6,19 +6,22 @@ import pytest
 
 from seqrec.cli import _resolve, main, replay_manifest
 from seqrec.manifest import RunManifest
+from seqrec.pipeline import load_pipeline
+
+WORLD_CONFIG = {
+    "dataset": {"users": 50, "posts_per_day": 30, "days": 12, "n_topics": 8,
+                "activity_rate": 3.0, "calibrate_survival": False},
+    "encoder": {"max_seq_len": 12},
+    "loss": {"m": 3},
+    "train": {"batch_size": 16, "epochs": 1, "learning_rate": 2e-3},
+    "pipeline": {"eval_holdout_days": 2},
+}
 
 
 @pytest.fixture(scope="module")
 def world_cfg(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
-    path.write_text(json.dumps({
-        "dataset": {"users": 50, "posts_per_day": 30, "days": 12, "n_topics": 8,
-                    "activity_rate": 3.0, "calibrate_survival": False},
-        "encoder": {"max_seq_len": 12},
-        "loss": {"m": 3},
-        "train": {"batch_size": 16, "epochs": 1, "learning_rate": 2e-3},
-        "pipeline": {"eval_holdout_days": 2},
-    }))
+    path.write_text(json.dumps(WORLD_CONFIG))
     return path
 
 
@@ -89,7 +92,25 @@ class TestUsageErrors:
         assert _resolve({"pipeline": pipe}, {})["pipeline"] == pipe
         assert _resolve({}, {})["pipeline"] == {
             "eval_holdout_days": 3, "min_interactions": 2, "drop_integrity": True,
-            "oracle_sigma": 0.1}
+            "oracle_sigma": 0.1, "target_window_days": None}
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("train", "epochs", "4", "train.epochs must be an integer"),
+        ("pipeline", "drop_integrity", "false", "pipeline.drop_integrity must be true or"),
+        ("encoder", "causal", "false", "encoder.causal must be true or false"),
+        ("loss", "m", 2.5, "loss.m must be an integer"),
+        ("dataset", "users", 1e3, "dataset.users must be an integer"),
+        ("dataset", "surfaces", "feed", "dataset.surfaces must be a list of strings"),
+        ("pipeline", "eval_holdout_days", 0, "eval_holdout_days must be >= 1")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, section, key, value,
+                                             message):
+        config = {name: dict(fields) for name, fields in WORLD_CONFIG.items()}
+        config[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_failure_exit_2(self, tmp_path, world_cfg):
         # train against a world directory that does not exist
@@ -107,6 +128,15 @@ class TestUsageErrors:
         assert rc == 2
         n_lines = events.read_bytes().count(b"\n") + 1
         assert f"{events}, line {n_lines}: " in caplog.text
+
+    def test_malformed_world_manifest_exit_2(self, tmp_path, world_cfg, world_dir, caplog):
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        (world / "manifest.json").write_text("[1]")
+        rc = main(["train", "--config", str(world_cfg), "--world", str(world),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{world / 'manifest.json'}: RunManifest must be a JSON object" in caplog.text
 
 
 def _assert_same_metrics(replayed: dict, original: dict) -> None:
@@ -186,6 +216,49 @@ class TestTrainEvalPipeline:
         assert man.metrics["queries_served"] > 0
         lines = (out / "queries.jsonl").read_text().splitlines()
         assert len(lines) == man.metrics["queries_served"]
+
+    def test_manifest_without_target_window_loads_and_replays(self, tmp_path, world_dir,
+                                                              trained):
+        # manifests written before the pipeline section became a dataclass
+        # have no target_window_days key
+        def strip(src, dst):
+            man = json.loads(src.read_text())
+            del man["config"]["pipeline"]["target_window_days"]
+            dst.write_text(json.dumps(man))
+            return man
+
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        old_world = strip(world_dir / "manifest.json", world / "manifest.json")
+        loaded = load_pipeline(world, old_world["config"])
+        ref = load_pipeline(world_dir, RunManifest.load(world_dir / "manifest.json").config)
+        for got, want in ((loaded.train, ref.train), (loaded.eval, ref.eval)):
+            assert [(s.user_id, s.history, s.long_targets) for s in got] == \
+                [(s.user_id, s.history, s.long_targets) for s in want]
+
+        old_train = strip(trained / "manifest.json", tmp_path / "manifest.json")
+        replayed = replay_manifest(tmp_path / "manifest.json", tmp_path / "replay")
+        _assert_same_metrics(replayed, old_train["metrics"])
+
+
+class TestTrainPostTower:
+    def test_outputs_feed_train(self, tmp_path, world_cfg, world_dir):
+        out = tmp_path / "tower"
+        assert main(["train-post-tower", "--config", str(world_cfg),
+                     "--world", str(world_dir), "--out", str(out)]) == 0
+        assert (out / "post_tower.ckpt").exists()
+        embeddings = out / "embeddings.nxtp"
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(world_cfg), "--world", str(world_dir),
+                     "--embeddings", str(embeddings), "--out", str(train_out)]) == 0
+        assert str(embeddings) in RunManifest.load(train_out / "manifest.json").inputs
+
+    def test_epochs_flag_is_usage_error(self, tmp_path, world_cfg, world_dir):
+        # the post tower trains for PostTowerConfig.epochs; the flag never reached it
+        rc = main(["train-post-tower", "--config", str(world_cfg), "--world", str(world_dir),
+                   "--epochs", "3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestExperimentCommands:

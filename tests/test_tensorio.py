@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -5,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from seqrec.encoder import load_checkpoint
+from seqrec.manifest import RunManifest, new_manifest
 from seqrec.tensorio import load_tensors, quantize, save_tensors
 
 
@@ -86,3 +89,22 @@ def test_damaged_file_raises_value_error_naming_path(tmp_path, kind):
     bad.write_bytes(_damage(good.read_bytes(), kind))
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         load_tensors(bad)
+
+
+@pytest.mark.parametrize("meta", [{}, {"config": {"bogus": 1}}, {"config": {"n_heads": "x"}},
+                                  {"config": 5}])
+def test_bad_checkpoint_config_raises_value_error_naming_path(tmp_path, meta):
+    path = tmp_path / "bad.ckpt"
+    save_tensors(path, {"a": np.ones(2)}, meta=meta)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["empty", "extra_key", "not_object"])
+def test_bad_run_manifest_raises_value_error_naming_path(tmp_path, edit):
+    good = dataclasses.asdict(new_manifest("gen-data", {"train": {}}, 7))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"empty": {}, "extra_key": {**good, "bogus": 1},
+                                "not_object": [1]}[edit]))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+        RunManifest.load(path)
