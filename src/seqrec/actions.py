@@ -25,15 +25,6 @@ BACKFILL_ACTION_ID = len(ActionType) + 1  # 10: synthetic backfill history
 
 ACTION_VOCAB_SIZE = len(ActionType) + 2
 
-# Actions whose presence carries a strong topical signal about the user's next
-# engagement versus those that carry a weak one (comment-thread activity).
-HIGH_SIGNAL_ACTIONS = (ActionType.LIKE, ActionType.COMMENT, ActionType.POST_CLICK)
-LOW_SIGNAL_ACTIONS = (
-    ActionType.COMMENT_CLICK,
-    ActionType.COMMENT_LIKE,
-    ActionType.COMMENT_REACT,
-)
-
 
 def action_from_name(name: str) -> ActionType:
     if not isinstance(name, str):

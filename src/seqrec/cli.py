@@ -1,7 +1,7 @@
 """Single entry point orchestrating the pipeline.
 
-Subcommands: gen-data, train-post-tower, train, eval, experiment, serve-sim,
-sweep. Config precedence is flags > JSON config file > defaults; the fully
+Each subcommand is declared once, in `_build_parser`, with the runner it
+calls. Config precedence is flags > JSON config file > defaults; the fully
 resolved configuration, input hashes and reported metrics land in a
 manifest.json under --out, and `replay_manifest` re-runs any manifest and
 returns the freshly computed metrics for comparison.
@@ -24,7 +24,7 @@ from .configs import SECTIONS, VARIANTS, from_json_dict, to_json_dict
 from .dataio import write_events_jsonl, write_posts_jsonl
 from .embeddings import save_embeddings
 from .encoder import load_checkpoint
-from .experiments import staleness_experiment, sweep, temporal_decay_experiment
+from .experiments import SWEEP_AXES, staleness_experiment, sweep, temporal_decay_experiment
 from .manifest import RunManifest, new_manifest, sha256_file
 from .metrics import knn_hits_at_k, reports_to_csv, reports_to_json, reports_to_table
 from .pipeline import alive_corpus, load_pipeline
@@ -106,22 +106,21 @@ def _cfgs(resolved: dict) -> tuple:
     return tuple(from_json_dict(cls, resolved[name]) for name, cls in SECTIONS.items())
 
 
-def _world_inputs(world_dir: Path, *extra) -> dict:
-    """sha256 of the world's posts and events plus any extra input files."""
-    paths = [world_dir / "posts.jsonl", world_dir / "events.jsonl", *extra]
+def _world_inputs(args, *extra) -> dict:
+    """sha256 of the world's posts and events, of the post embeddings for a
+    command that takes --embeddings, and of any extra input files."""
+    paths = [args.world / "posts.jsonl", args.world / "events.jsonl", *extra]
+    if hasattr(args, "embeddings"):
+        paths.insert(2, args.embeddings or args.world / "embeddings.nxtp")
     return {str(p): sha256_file(p) for p in paths}
 
 
-def _embeddings_path(world_dir: Path, embeddings_path) -> Path:
-    return Path(embeddings_path) if embeddings_path else world_dir / "embeddings.nxtp"
-
-
 # ---------------------------------------------------------------------------
-# command implementations; each takes (resolved config, args-ish dict, out dir)
+# command implementations; each takes (resolved config, out dir, parsed args)
 # and returns (metrics, inputs, outputs)
 # ---------------------------------------------------------------------------
 
-def run_gen_data(resolved: dict, out: Path) -> tuple[dict, dict, list]:
+def run_gen_data(resolved: dict, out: Path, args) -> tuple[dict, dict, list]:
     dataset, _, _, train_cfg, pipe = _cfgs(resolved)
     seed = train_cfg.seed
     posts, users, events = generate_world(dataset, seed)
@@ -134,8 +133,8 @@ def run_gen_data(resolved: dict, out: Path) -> tuple[dict, dict, list]:
     return metrics, {}, outputs
 
 
-def run_train_post_tower(resolved: dict, out: Path, world_dir: Path) -> tuple[dict, dict, list]:
-    data = load_pipeline(world_dir, resolved)
+def run_train_post_tower(resolved: dict, out: Path, args) -> tuple[dict, dict, list]:
+    data = load_pipeline(args.world, resolved)
     dataset_w = data.bundle.config
     pairs = build_coengagement_pairs(data.events)
     tcfg = PostTowerConfig(channel_dim=dataset_w.channel_dim, seed=resolved["train"]["seed"])
@@ -145,20 +144,20 @@ def run_train_post_tower(resolved: dict, out: Path, world_dir: Path) -> tuple[di
     penc = PostEncoder("trained", dataset_w, tower_cfg=tcfg, params=params)
     save_embeddings(out / "embeddings.nxtp", penc.encode_all(data.posts))
     metrics = {"n_pairs": len(pairs), "first_loss": losses[0], "last_loss": losses[-1]}
-    return metrics, _world_inputs(world_dir), \
+    return metrics, _world_inputs(args), \
         [str(out / "post_tower.ckpt"), str(out / "embeddings.nxtp")]
 
 
-def run_train(resolved: dict, out: Path, world_dir: Path, embeddings_path=None):
+def run_train(resolved: dict, out: Path, args):
     _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
-    data = load_pipeline(world_dir, resolved, embeddings_path)
+    data = load_pipeline(args.world, resolved, args.embeddings)
     tower, report = train(data.train, data.eval, data.embeddings, enc_cfg, loss_cfg,
                           train_cfg, data.surfaces, checkpoint_path=out / "checkpoint.ckpt")
     report.save(out / "report.json")
     metrics = {"final_hits1": report.final_hits1, "final_hits10": report.final_hits10,
                "n_train_samples": report.n_train_samples,
                "final_loss": report.losses[-1] if report.losses else None}
-    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path))
+    inputs = _world_inputs(args)
     return metrics, inputs, [str(out / "checkpoint.ckpt"), str(out / "report.json")]
 
 
@@ -167,10 +166,9 @@ def _tower_from_checkpoint(ckpt_path, surfaces):
     return UserTower(extra.get("kind", "transformer"), params, enc_cfg, surfaces)
 
 
-def run_eval(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
-             embeddings_path, k: int):
-    data = load_pipeline(world_dir, resolved, embeddings_path)
-    tower = _tower_from_checkpoint(ckpt, data.surfaces)
+def run_eval(resolved: dict, out: Path, args):
+    data = load_pipeline(args.world, resolved, args.embeddings)
+    tower = _tower_from_checkpoint(args.checkpoint, data.surfaces)
     h1, h10, n = batch_hits_eval(tower, data.eval, data.embeddings,
                                  resolved["train"]["batch_size"])
     days = data.holdout_days
@@ -178,27 +176,29 @@ def run_eval(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
     usable = [s for s in data.eval if s.long_targets and
               (s.history or tower.enc_cfg.use_cls)]
     user_vecs = tower.eval_user_vectors(usable, data.embeddings)
-    knn = knn_hits_at_k(user_vecs, [s.long_targets for s in usable],
-                        corpus_ids, corpus_vecs, k)
+    # With the integrity filter off, flagged posts stay targets but are never
+    # served; a query left with no servable target counts as a miss.
+    alive = set(corpus_ids)
+    targets = [[t for t in s.long_targets if t in alive] for s in usable]
+    knn = knn_hits_at_k(user_vecs, targets, corpus_ids, corpus_vecs, args.k)
     knn.slice = {"corpus": len(corpus_ids)}
     reports_to_json([knn], out / "eval_report.json")
     metrics = {"batch_hits1": h1, "batch_hits10": h10, "batch_n": n,
-               f"knn_hits{k}": knn.value, "knn_n": knn.n_queries}
-    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path), ckpt)
+               f"knn_hits{args.k}": knn.value, "knn_n": knn.n_queries}
+    inputs = _world_inputs(args, args.checkpoint)
     return metrics, inputs, [str(out / "eval_report.json")]
 
 
-def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
-                   ckpt, embeddings_path, max_days: int, horizon_days: int):
+def run_experiment(resolved: dict, out: Path, args):
     _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
-    data = load_pipeline(world_dir, resolved, embeddings_path)
-    inputs = _world_inputs(world_dir, _embeddings_path(world_dir, embeddings_path))
-    if which == "staleness":
-        if ckpt is None:
+    data = load_pipeline(args.world, resolved, args.embeddings)
+    inputs = _world_inputs(args)
+    if args.which == "staleness":
+        if args.checkpoint is None:
             raise SystemExit1("experiment staleness requires --checkpoint")
-        tower = _tower_from_checkpoint(ckpt, data.surfaces)
-        inputs[str(ckpt)] = sha256_file(ckpt)
-        reports = staleness_experiment(tower, data, max_stale_days=max_days)
+        tower = _tower_from_checkpoint(args.checkpoint, data.surfaces)
+        inputs[str(args.checkpoint)] = sha256_file(args.checkpoint)
+        reports = staleness_experiment(tower, data, max_stale_days=args.max_days)
         reports_to_json(reports, out / "staleness.json")
         reports_to_csv(reports, out / "staleness.csv")
         print(reports_to_table(reports))
@@ -206,29 +206,30 @@ def run_experiment(resolved: dict, out: Path, world_dir: Path, which: str,
         metrics.update({f"drop_stale_{r.slice['staleness_days']}": r.slice["drop"]
                         for r in reports})
         return metrics, inputs, [str(out / "staleness.json"), str(out / "staleness.csv")]
-    if which == "temporal-decay":
-        series = temporal_decay_experiment(data, enc_cfg, loss_cfg, train_cfg,
-                                           horizon_days=horizon_days)
-        flat = [r for reports in series.values() for r in reports]
-        reports_to_json(flat, out / "temporal_decay.json")
-        print(reports_to_table(flat))
-        metrics = {}
-        for label, reports in series.items():
-            metrics[f"{label}_day1"] = reports[0].value
-            metrics[f"{label}_day{horizon_days}"] = reports[-1].value
-            metrics[f"{label}_drop"] = reports[0].slice[f"day{horizon_days}_drop"]
-        return metrics, inputs, [str(out / "temporal_decay.json")]
-    raise SystemExit1(f"unknown experiment {which!r}")
+    # temporal-decay
+    series = temporal_decay_experiment(data, enc_cfg, loss_cfg, train_cfg,
+                                       horizon_days=args.horizon_days)
+    flat = [r for reports in series.values() for r in reports]
+    reports_to_json(flat, out / "temporal_decay.json")
+    print(reports_to_table(flat))
+    metrics = {}
+    for label, reports in series.items():
+        metrics[f"{label}_day1"] = reports[0].value
+        metrics[f"{label}_day{args.horizon_days}"] = reports[-1].value
+        metrics[f"{label}_drop"] = reports[0].slice[f"day{args.horizon_days}_drop"]
+    return metrics, inputs, [str(out / "temporal_decay.json")]
 
 
-def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
-                  days: int, queries_per_day: int, k: int, threshold: float):
-    data = load_pipeline(world_dir, resolved)
-    params, ck_cfg, _ = load_checkpoint(ckpt)
+def run_serve_sim(resolved: dict, out: Path, args):
+    data = load_pipeline(args.world, resolved)
+    params, ck_cfg, extra = load_checkpoint(args.checkpoint)
+    if extra.get("kind", "transformer") != "transformer":
+        raise SystemExit1(f"{args.checkpoint}: serve-sim needs a transformer checkpoint, "
+                          f"not variant {extra.get('variant')!r}")
     sim = ServingSim(posts=data.posts, params=params, enc_cfg=ck_cfg,
                      post_encoder=data.post_encoder, surfaces=data.surfaces)
     horizon_day = data.holdout_days.stop
-    start = max(1, horizon_day - days)
+    start = max(1, horizon_day - args.days)
     refreshed_total = served = 0
     work_corpus, work_secs = [], []
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(data.bundle.seed)))
@@ -238,9 +239,9 @@ def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
         candidates = sorted({e.user_id for e in data.events
                              if e.ts < day * SECONDS_PER_DAY})
         if candidates:
-            for uid in rng.choice(candidates, size=min(queries_per_day, len(candidates)),
+            for uid in rng.choice(candidates, size=min(args.queries_per_day, len(candidates)),
                                   replace=False):
-                res = sim.retrieve(int(uid), k, threshold)
+                res = sim.retrieve(int(uid), args.k, args.threshold)
                 work_corpus.append(res.work["corpus"])
                 work_secs.append(res.work["seconds"])
                 served += 1
@@ -251,31 +252,33 @@ def run_serve_sim(resolved: dict, out: Path, world_dir: Path, ckpt: Path,
                "user_snapshot": sim.user_store.snapshot_id,
                "mean_query_corpus": float(np.mean(work_corpus)) if work_corpus else 0.0,
                "mean_query_seconds": float(np.mean(work_secs)) if work_secs else 0.0}
-    return metrics, _world_inputs(world_dir, ckpt), [str(out / "queries.jsonl")]
+    return metrics, _world_inputs(args, args.checkpoint), [str(out / "queries.jsonl")]
 
 
-def run_sweep(resolved: dict, out: Path, world_dir: Path, axis: str,
-              values: list, seeds: list):
+def run_sweep(resolved: dict, out: Path, args):
     _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
-    data = load_pipeline(world_dir, resolved)
-    reports = sweep(axis, values, data, enc_cfg, loss_cfg, train_cfg,
-                    seeds=tuple(seeds))
+    data = load_pipeline(args.world, resolved)
+    reports = sweep(args.axis, args.values, data, enc_cfg, loss_cfg, train_cfg,
+                    seeds=tuple(args.seeds))
     reports_to_json(reports, out / "sweep.json")
     reports_to_csv(reports, out / "sweep.csv")
     print(reports_to_table(reports))
-    metrics = {f"hits1_{axis}_{r.slice[axis]}": r.value for r in reports}
-    return metrics, _world_inputs(world_dir), [str(out / "sweep.json"), str(out / "sweep.csv")]
+    metrics = {f"hits1_{args.axis}_{r.slice[args.axis]}": r.value for r in reports}
+    return metrics, _world_inputs(args), [str(out / "sweep.json"), str(out / "sweep.csv")]
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="seqrec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, world=True):
+    def command(name, run, help, world=True):
+        """A subcommand with the shared flags; parsing it sets args.run."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", type=Path, default=None,
                         help="JSON config with sections dataset/encoder/loss/train/pipeline")
         sp.add_argument("--seed", type=int, default=None)
@@ -283,75 +286,45 @@ def _build_parser() -> _Parser:
         if world:
             sp.add_argument("--world", type=Path, required=True,
                             help="directory produced by gen-data")
+        return sp
 
-    sp = sub.add_parser("gen-data", help="generate a synthetic world")
-    common(sp, world=False)
+    command("gen-data", run_gen_data, "generate a synthetic world", world=False)
+    command("train-post-tower", run_train_post_tower, "train the content post tower")
 
-    sp = sub.add_parser("train-post-tower", help="train the content post tower")
-    common(sp)
-
-    sp = sub.add_parser("train", help="train a user-tower variant")
-    common(sp)
+    sp = command("train", run_train, "train a user-tower variant")
     sp.add_argument("--variant", choices=VARIANTS, default=None)
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--embeddings", type=Path, default=None)
 
-    sp = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(sp)
+    sp = command("eval", run_eval, "evaluate a checkpoint")
     sp.add_argument("--checkpoint", type=Path, required=True)
     sp.add_argument("--embeddings", type=Path, default=None)
     sp.add_argument("--k", type=_positive_int, default=10)
 
-    sp = sub.add_parser("experiment", help="run a deployment experiment")
+    sp = command("experiment", run_experiment, "run a deployment experiment")
     sp.add_argument("which", choices=["staleness", "temporal-decay"])
-    common(sp)
     sp.add_argument("--checkpoint", type=Path, default=None)
     sp.add_argument("--embeddings", type=Path, default=None)
     sp.add_argument("--max-days", type=_non_negative_int, default=6)
     sp.add_argument("--horizon-days", type=_positive_int, default=7)
 
-    sp = sub.add_parser("serve-sim", help="simulate the serving day loop")
-    common(sp)
+    sp = command("serve-sim", run_serve_sim, "simulate the serving day loop")
     sp.add_argument("--checkpoint", type=Path, required=True)
     sp.add_argument("--days", type=_positive_int, default=3)
     sp.add_argument("--queries-per-day", type=_non_negative_int, default=5)
     sp.add_argument("--k", type=_positive_int, default=10)
     sp.add_argument("--threshold", type=float, default=-1.0)
 
-    sp = sub.add_parser("sweep", help="sequence-length / layer-count sweep")
-    common(sp)
-    sp.add_argument("--axis", choices=["seq_len", "layers"], required=True)
+    sp = command("sweep", run_sweep, "sequence-length / layer-count sweep")
+    sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--values", type=_ascending_positive_ints, required=True,
                     help="comma-separated positive ascending values")
     sp.add_argument("--seeds", type=_int_list, default=[0],
                     help="comma-separated seeds")
 
     return p
-
-
-def _dispatch(args, resolved: dict, out: Path):
-    cmd = args.command
-    if cmd == "gen-data":
-        return run_gen_data(resolved, out)
-    if cmd == "train-post-tower":
-        return run_train_post_tower(resolved, out, args.world)
-    if cmd == "train":
-        return run_train(resolved, out, args.world, args.embeddings)
-    if cmd == "eval":
-        return run_eval(resolved, out, args.world, args.checkpoint,
-                        args.embeddings, args.k)
-    if cmd == "experiment":
-        return run_experiment(resolved, out, args.world, args.which,
-                              args.checkpoint, args.embeddings,
-                              args.max_days, args.horizon_days)
-    if cmd == "serve-sim":
-        return run_serve_sim(resolved, out, args.world, args.checkpoint,
-                             args.days, args.queries_per_day, args.k, args.threshold)
-    if cmd == "sweep":
-        return run_sweep(resolved, out, args.world, args.axis, args.values, args.seeds)
-    raise SystemExit1(f"unknown command {cmd!r}")
 
 
 def _flag_overrides(args) -> dict:
@@ -375,26 +348,21 @@ def _recorded(value):
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        sections = _load_sections(args.config)
-        resolved = _resolve(sections, _flag_overrides(args))
-    except SystemExit1 as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        resolved = _resolve(_load_sections(args.config), _flag_overrides(args))
+    except (SystemExit1, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     resolved["cli_args"] = {name: _recorded(v) for name, v in vars(args).items()
-                            if name not in ("config", "out")}
+                            if name not in ("config", "out", "run")}
     manifest = new_manifest(args.command, resolved, resolved["train"]["seed"])
     t0 = time.perf_counter()
     try:
-        metrics, inputs, outputs = _dispatch(args, resolved, out)
+        metrics, inputs, outputs = args.run(resolved, out, args)
     except SystemExit1 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -431,7 +399,7 @@ def replay_manifest(manifest_path, out_dir, extra_args: dict | None = None) -> d
     argv += [f"--{name.replace('_', '-')}={val}" for name, val in recorded.items()
              if val is not None]
     args = _build_parser().parse_args(argv + ["--out", str(out)])
-    metrics, _, _ = _dispatch(args, man.config, out)
+    metrics, _, _ = args.run(man.config, out, args)
     return metrics
 
 

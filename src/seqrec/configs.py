@@ -159,15 +159,24 @@ class LossConfig:
             raise ValueError("neg_sample_k must be >= 0")
 
 
-VARIANTS = (
-    "baseline_avg",
-    "ttt",
-    "ttt_cls",
-    "ttt_causal",
-    "ttt_causal_long",
-    "ttt_causal_long_short",
-    "full_with_time",
-)
+# The ablation ladder, in order: variant -> (encoder flags, loss overrides,
+# model kind). Each transformer rung adds one change to the rung before it.
+_CLS_CAUSAL = dict(use_cls=True, causal=True, use_time=False)
+_NEXT_POST = dict(w_short=0.0, w_long=1.0, m=1)       # single next-post label
+_BOTH = dict(w_short=0.5, w_long=0.5)                 # short- and long-term objectives
+VARIANTS = {
+    "baseline_avg": ({}, _NEXT_POST, "baseline"),
+    "ttt": (dict(use_cls=False, causal=False, use_time=False), _NEXT_POST, "transformer"),
+    "ttt_cls": (dict(use_cls=True, causal=False, use_time=False), _NEXT_POST, "transformer"),
+    "ttt_causal": (_CLS_CAUSAL, _NEXT_POST, "transformer"),
+    "ttt_causal_long": (_CLS_CAUSAL, dict(w_short=0.0, w_long=1.0), "transformer"),
+    "ttt_causal_long_short": (_CLS_CAUSAL, _BOTH, "transformer"),
+    "full_with_time": (dict(use_cls=True, causal=True, use_time=True), _BOTH, "transformer"),
+}
+# Rungs the experiments train: sweeps the plain transformer, temporal decay
+# the causal one without and with long-term labels.
+SWEEP_VARIANT = "ttt"
+DECAY_VARIANTS = {"without_long": "ttt_causal", "with_long": "ttt_causal_long"}
 
 
 @dataclass
@@ -184,7 +193,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {tuple(VARIANTS)}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2: in-batch negatives need other users")
         if self.epochs < 0:

@@ -111,6 +111,9 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     attended and carry zero vectors.
     """
     surfaces = surfaces or {}
+    if surfaces and max(surfaces.values()) >= config.n_surfaces:
+        raise ValueError(f"encoder.n_surfaces={config.n_surfaces} is below the world's "
+                         f"{len(surfaces)} surfaces {sorted(surfaces, key=surfaces.get)}")
     d = config.d_model
     cls_extra = 1 if config.use_cls else 0
     hists = [s.history[-config.max_seq_len:] for s in samples]

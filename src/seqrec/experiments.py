@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from .configs import EncoderConfig, LossConfig, TrainConfig
+from .configs import DECAY_VARIANTS, SWEEP_VARIANT, EncoderConfig, LossConfig, TrainConfig
 from .metrics import EvalReport, top_k_columns
 from .pipeline import PipelineData, alive_corpus
 from .samples import SequenceSample, collect_targets, events_by_user, history_before
@@ -16,6 +16,9 @@ from .trainer import UserTower, train
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
+
+# sweep axis -> the EncoderConfig field it sets
+SWEEP_AXES = {"seq_len": "max_seq_len", "layers": "n_layers"}
 
 
 def _knn_hits_excluding_seen(user_vecs: np.ndarray, target_sets: list,
@@ -116,8 +119,7 @@ def temporal_decay_experiment(data: PipelineData, enc_cfg: EncoderConfig,
     seen_all = {uid: {e.post_id for e in stream if e.ts < cutoff_ts}
                 for uid, stream in per_user.items()}
     out: dict[str, list] = {}
-    for label, variant in (("without_long", "ttt_causal"),
-                           ("with_long", "ttt_causal_long")):
+    for label, variant in DECAY_VARIANTS.items():
         tcfg = dataclasses.replace(train_cfg, variant=variant)
         tower, _ = train(data.train, data.eval, data.embeddings,
                          enc_cfg, loss_cfg, tcfg, data.surfaces)
@@ -216,21 +218,18 @@ def sweep(axis: str, values: list, data: PipelineData, enc_cfg: EncoderConfig,
           seeds: tuple = (0,)) -> list:
     """Train the plain two-tower-transformer variant per axis value and report
     mean batch Hits@1 plus wall-clock per optimization step."""
-    if axis not in ("seq_len", "layers"):
-        raise ValueError("axis must be 'seq_len' or 'layers'")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {list(SWEEP_AXES)}")
     if list(values) != sorted(values):
         raise ValueError("values must be sorted ascending")
     reports = []
     for value in values:
-        if axis == "seq_len":
-            cfg = dataclasses.replace(enc_cfg, max_seq_len=int(value))
-        else:
-            cfg = dataclasses.replace(enc_cfg, n_layers=int(value))
+        cfg = dataclasses.replace(enc_cfg, **{SWEEP_AXES[axis]: int(value)})
         hits = []
         secs_per_step = []
         n_queries = 0
         for seed in seeds:
-            tcfg = dataclasses.replace(train_cfg, seed=int(seed), variant="ttt")
+            tcfg = dataclasses.replace(train_cfg, seed=int(seed), variant=SWEEP_VARIANT)
             t0 = time.perf_counter()
             _, report = train(data.train, data.eval, data.embeddings,
                               cfg, loss_cfg, tcfg, data.surfaces)

@@ -20,9 +20,8 @@ class SequenceSample:
     """One training/eval example.
 
     history is time-ordered and strictly precedes cutoff_time; every target
-    timestamp is >= cutoff_time. short_targets[t] is the post engaged right
-    after history position t (so it has len(history) - 1 entries), and
-    long_targets are up to m distinct future post ids not present in history.
+    timestamp is >= cutoff_time. long_targets are up to m distinct future post
+    ids not present in history.
     """
 
     user_id: int
@@ -30,10 +29,6 @@ class SequenceSample:
     long_targets: list             # list[int] post ids
     cutoff_time: int
     target_ts: list = field(default_factory=list)  # timestamps aligned with long_targets
-
-    @property
-    def short_targets(self) -> list:
-        return [h.post_id for h in self.history[1:]]
 
     def validate(self) -> None:
         ts = [h.ts for h in self.history]

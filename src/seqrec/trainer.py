@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import ffn_backward, ffn_forward, l2_normalize, l2_normalize_backward, xavier
-from .configs import EncoderConfig, LossConfig, TrainConfig
+from .configs import VARIANTS, EncoderConfig, LossConfig, TrainConfig
 from .encoder import (
     assemble_batch_inputs,
     backward_batch,
@@ -39,25 +39,9 @@ log = logging.getLogger(__name__)
 def variant_settings(variant: str, enc: EncoderConfig, loss: LossConfig,
                      dropout: float) -> tuple[EncoderConfig, LossConfig, str]:
     """Resolve a ladder variant into (encoder config, loss config, model kind)."""
-    enc = dataclasses.replace(enc, dropout=dropout)
-    if variant == "baseline_avg":
-        return enc, dataclasses.replace(loss, w_short=0.0, w_long=1.0, m=1), "baseline"
-    flags = {
-        "ttt": dict(use_cls=False, causal=False, use_time=False),
-        "ttt_cls": dict(use_cls=True, causal=False, use_time=False),
-        "ttt_causal": dict(use_cls=True, causal=True, use_time=False),
-        "ttt_causal_long": dict(use_cls=True, causal=True, use_time=False),
-        "ttt_causal_long_short": dict(use_cls=True, causal=True, use_time=False),
-        "full_with_time": dict(use_cls=True, causal=True, use_time=True),
-    }[variant]
-    enc = dataclasses.replace(enc, **flags)
-    if variant in ("ttt", "ttt_cls", "ttt_causal"):
-        loss = dataclasses.replace(loss, w_short=0.0, w_long=1.0, m=1)
-    elif variant == "ttt_causal_long":
-        loss = dataclasses.replace(loss, w_short=0.0, w_long=1.0)
-    else:
-        loss = dataclasses.replace(loss, w_short=0.5, w_long=0.5)
-    return enc, loss, "transformer"
+    flags, overrides, kind = VARIANTS[variant]
+    return (dataclasses.replace(enc, dropout=dropout, **flags),
+            dataclasses.replace(loss, **overrides), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +260,7 @@ def train(train_samples: list, eval_samples: list, embeddings,
                          n_train_samples=len(train_samples))
     if kind == "baseline":
         report.notes.append(
-            "baseline_avg stands in for an id-feature wide-and-deep baseline, "
+            f"{train_cfg.variant} stands in for an id-feature wide-and-deep baseline, "
             "which cannot be built from content embeddings alone")
 
     usable = [s for s in train_samples
@@ -294,6 +278,11 @@ def train(train_samples: list, eval_samples: list, embeddings,
     t0 = time.perf_counter()
     if train_cfg.epochs > 0:
         batches = assemble_batch(usable, train_cfg.batch_size, train_cfg.seed)
+        if not batches:
+            raise ValueError(
+                f"no training batch formed: batch_size={train_cfg.batch_size} needs that "
+                f"many distinct users, the training samples have "
+                f"{len({s.user_id for s in usable})}")
         report.n_batches = len(batches)
         step = 0
         for epoch in range(train_cfg.epochs):

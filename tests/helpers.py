@@ -6,6 +6,7 @@ whichever of the two pytest imported last.
 """
 import numpy as np
 
+from seqrec.cli import _build_parser
 from seqrec.embeddings import EmbeddingSet
 from seqrec.samples import HistoryItem, SequenceSample
 
@@ -63,3 +64,9 @@ def make_samples(n_users: int, hist_lens, n_posts: int, seed: int = 0,
         samples.append(SequenceSample(500 + b, hist, tgts, cutoff,
                                       [cutoff + 10 * (i + 1) for i in range(len(tgts))]))
     return samples
+
+
+def subcommands() -> dict:
+    """CLI subcommand name -> its parser, as `cli._build_parser` declares them."""
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return sub.choices

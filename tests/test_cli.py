@@ -8,6 +8,8 @@ from seqrec.cli import _resolve, main, replay_manifest
 from seqrec.manifest import RunManifest
 from seqrec.pipeline import load_pipeline
 
+from helpers import subcommands
+
 WORLD_CONFIG = {
     "dataset": {"users": 50, "posts_per_day": 30, "days": 12, "n_topics": 8,
                 "activity_rate": 3.0, "calibrate_survival": False},
@@ -137,6 +139,82 @@ class TestUsageErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{world / 'manifest.json'}: RunManifest must be a JSON object" in caplog.text
+
+
+def _config_with(tmp_path, **sections) -> Path:
+    """WORLD_CONFIG with the given sections' keys overridden, written to a file."""
+    config = {name: dict(fields) for name, fields in WORLD_CONFIG.items()}
+    for name, fields in sections.items():
+        config.setdefault(name, {}).update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestCommandTable:
+    def test_every_subcommand_names_its_runner(self):
+        runners = {name: sp.get_default("run") for name, sp in subcommands().items()}
+        assert runners and all(callable(run) for run in runners.values()), runners
+
+    def test_manifests_do_not_record_the_runner(self, world_dir, trained, tmp_path, world_cfg):
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(world_cfg), "--world", str(world_dir),
+                     "--checkpoint", str(trained / "checkpoint.ckpt"), "--out", str(out)]) == 0
+        for run in (world_dir, trained, out):
+            cli_args = RunManifest.load(run / "manifest.json").config["cli_args"]
+            assert "run" not in cli_args and cli_args["command"]
+
+
+class TestRunChecks:
+    """Runs whose settings or checkpoint do not fit the world or the command."""
+
+    def test_eval_without_integrity_filter_scores_flagged_targets_as_absent(self, tmp_path):
+        cfg = _config_with(tmp_path, dataset={"integrity_rate": 0.2},
+                           pipeline={"drop_integrity": False})
+        world, train_out, out = tmp_path / "world", tmp_path / "train", tmp_path / "eval"
+        assert main(["gen-data", "--config", str(cfg), "--seed", "7", "--out", str(world)]) == 0
+        assert main(["train", "--config", str(cfg), "--world", str(world),
+                     "--out", str(train_out)]) == 0
+        data = load_pipeline(world, RunManifest.load(train_out / "manifest.json").config)
+        flagged = {p.post_id for p in data.posts if p.integrity_violating}
+        assert flagged & {t for s in data.eval for t in s.long_targets}
+        assert main(["eval", "--config", str(cfg), "--world", str(world),
+                     "--checkpoint", str(train_out / "checkpoint.ckpt"),
+                     "--out", str(out)]) == 0
+        metrics = RunManifest.load(out / "manifest.json").metrics
+        # every eval user with targets is still a query; one whose targets
+        # are all flagged is a miss
+        assert metrics["knn_n"] == sum(1 for s in data.eval if s.long_targets)
+        assert 0 < metrics["knn_hits10"] < 1
+
+    def test_serve_sim_rejects_a_baseline_checkpoint(self, tmp_path, world_cfg, world_dir,
+                                                     capsys):
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(world_cfg), "--world", str(world_dir),
+                     "--variant", "baseline_avg", "--out", str(train_out)]) == 0
+        ckpt = train_out / "checkpoint.ckpt"
+        rc = main(["serve-sim", "--config", str(world_cfg), "--world", str(world_dir),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "serve")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'baseline_avg'" in err
+        assert not (tmp_path / "serve" / "queries.jsonl").exists()
+
+    def test_too_few_surface_rows_names_the_setting(self, tmp_path, world_dir, caplog):
+        cfg = _config_with(tmp_path, encoder={"n_surfaces": 1})
+        rc = main(["train", "--config", str(cfg), "--world", str(world_dir),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "encoder.n_surfaces=1 is below the world's 3 surfaces" in caplog.text
+
+    def test_training_that_forms_no_batch_fails(self, tmp_path, world_dir, caplog):
+        # 50 users cannot fill the default batch of 64 distinct users
+        cfg = _config_with(tmp_path, train={"batch_size": 64})
+        rc = main(["train", "--config", str(cfg), "--world", str(world_dir),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "batch_size=64" in caplog.text and "have 50" in caplog.text
+        assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
 
 
 def _assert_same_metrics(replayed: dict, original: dict) -> None:

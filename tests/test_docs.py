@@ -1,0 +1,23 @@
+"""README's variant table and CLI examples stay in step with the code."""
+import re
+from pathlib import Path
+
+from seqrec.configs import VARIANTS
+
+from helpers import subcommands
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _section(title: str) -> str:
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_variant_table_lists_the_ladder_in_order():
+    rows = re.findall(r"^\| `(\w+)` \|", _section("Model variants"), re.M)
+    assert rows == list(VARIANTS)
+
+
+def test_cli_block_shows_every_subcommand():
+    block = _section("CLI").split("```bash\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^seqrec ([\w-]+)", block, re.M)) == set(subcommands())

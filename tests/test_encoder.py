@@ -65,6 +65,23 @@ class TestAssembleInput:
         with pytest.raises(KeyError, match="999"):
             assemble_batch_inputs([s], embs, params, cfg, SURFACES)
 
+    @pytest.mark.parametrize("n_surfaces", [1, 2])
+    def test_fewer_surface_rows_than_world_surfaces_rejected(self, setup, n_surfaces):
+        cfg, embs, _, samples = setup
+        cfg = dataclasses.replace(cfg, n_surfaces=n_surfaces)
+        world = {"feed": 0, "groups_tab": 1, "search": 2}
+        with pytest.raises(ValueError, match=rf"encoder.n_surfaces={n_surfaces} .* "
+                                             r"\['feed', 'groups_tab', 'search'\]"):
+            assemble_batch_inputs(samples, embs, init_params(cfg, seed=1), cfg, world)
+
+    @pytest.mark.parametrize("n_surfaces", [3, 4])
+    def test_spare_surface_rows_are_valid(self, setup, n_surfaces):
+        cfg, embs, _, samples = setup
+        cfg = dataclasses.replace(cfg, n_surfaces=n_surfaces)
+        world = {"feed": 0, "groups_tab": 1, "search": 2}
+        asm = assemble_batch_inputs(samples, embs, init_params(cfg, seed=1), cfg, world)
+        assert set(asm.surf_ids[asm.is_real].tolist()) == {world["feed"], world["search"]}
+
     def test_history_truncated_to_max_seq_len(self, setup):
         cfg, embs, params, _ = setup
         hist = [HistoryItem(i, 0, "feed", 100 + i) for i in range(10)]

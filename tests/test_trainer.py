@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqrec.configs import EncoderConfig, LossConfig, TrainConfig
+from seqrec.configs import VARIANTS, EncoderConfig, LossConfig, TrainConfig
 from seqrec.optim import Adam, global_norm
 from seqrec.trainer import (
     UserTower, assemble_batch, batch_hits_eval, epoch_batch_order,
@@ -86,6 +86,39 @@ class TestVariantSettings:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
             TrainConfig(variant="resnet")
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("dropout", [0.0, 0.35])
+    @pytest.mark.parametrize("enc,loss", [
+        (EncoderConfig(), LossConfig()),
+        (EncoderConfig(use_cls=False, causal=False, pooling="mean"),
+         LossConfig(m=3, w_short=0.3, w_long=0.7))])
+    def test_table_matches_the_if_chain(self, variant, dropout, enc, loss):
+        assert variant_settings(variant, enc, loss, dropout) == \
+            _if_chain_variant_settings(variant, enc, loss, dropout)
+
+
+def _if_chain_variant_settings(variant, enc, loss, dropout):
+    """variant_settings as it was before configs.VARIANTS became the ladder table."""
+    enc = dataclasses.replace(enc, dropout=dropout)
+    if variant == "baseline_avg":
+        return enc, dataclasses.replace(loss, w_short=0.0, w_long=1.0, m=1), "baseline"
+    flags = {
+        "ttt": dict(use_cls=False, causal=False, use_time=False),
+        "ttt_cls": dict(use_cls=True, causal=False, use_time=False),
+        "ttt_causal": dict(use_cls=True, causal=True, use_time=False),
+        "ttt_causal_long": dict(use_cls=True, causal=True, use_time=False),
+        "ttt_causal_long_short": dict(use_cls=True, causal=True, use_time=False),
+        "full_with_time": dict(use_cls=True, causal=True, use_time=True),
+    }[variant]
+    enc = dataclasses.replace(enc, **flags)
+    if variant in ("ttt", "ttt_cls", "ttt_causal"):
+        loss = dataclasses.replace(loss, w_short=0.0, w_long=1.0, m=1)
+    elif variant == "ttt_causal_long":
+        loss = dataclasses.replace(loss, w_short=0.0, w_long=1.0)
+    else:
+        loss = dataclasses.replace(loss, w_short=0.5, w_long=0.5)
+    return enc, loss, "transformer"
 
 
 class TestTrainStep:
@@ -190,6 +223,17 @@ class TestTrain:
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0, variant="full_with_time")
         train(train_s, eval_s, embs, enc, LossConfig(m=3), tcfg, SURFACES)
         np.testing.assert_array_equal(embs.vectors, before)
+
+    def test_no_batch_formed_raises(self, tiny_training):
+        # 12 samples of 6 users cannot fill a batch of 8 distinct users
+        enc, embs, _, eval_s = tiny_training
+        train_s = make_samples(6, (3,), 80, seed=6) * 2
+        tcfg = TrainConfig(batch_size=8, epochs=1, seed=0, variant="ttt_causal_long")
+        with pytest.raises(ValueError, match=r"batch_size=8 .* have 6$"):
+            train(train_s, eval_s, embs, enc, LossConfig(m=2), tcfg, SURFACES)
+        _, report = train(train_s, eval_s, embs, enc, LossConfig(m=2),
+                          dataclasses.replace(tcfg, epochs=0), SURFACES)
+        assert report.n_batches == 0 and report.losses == []
 
     def test_baseline_variant_runs(self, tiny_training):
         enc, embs, train_s, eval_s = tiny_training
