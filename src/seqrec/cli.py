@@ -190,7 +190,11 @@ def run_eval(resolved: dict, out: Path, args):
 
 
 def run_experiment(resolved: dict, out: Path, args):
-    _, enc_cfg, loss_cfg, train_cfg, _ = _cfgs(resolved)
+    _, enc_cfg, loss_cfg, train_cfg, pipe = _cfgs(resolved)
+    if args.which == "temporal-decay" and args.horizon_days > pipe.eval_holdout_days:
+        raise SystemExit1(f"--horizon-days {args.horizon_days} is longer than the "
+                          f"{pipe.eval_holdout_days}-day holdout; lower it or raise "
+                          f"pipeline.eval_holdout_days in --config")
     data = load_pipeline(args.world, resolved, args.embeddings)
     inputs = _world_inputs(args)
     if args.which == "staleness":

@@ -382,6 +382,19 @@ class TestDayAndCountFlags:
         assert rc == 1
         assert not (tmp_path / "o").exists()
 
+    def test_decay_horizon_beyond_the_holdout_is_usage_error(self, tmp_path, world_dir,
+                                                             capsys):
+        # README's command: the default --horizon-days 7 against the default
+        # pipeline.eval_holdout_days 3
+        out = tmp_path / "o"
+        rc = main(["experiment", "temporal-decay", "--world", str(world_dir),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--horizon-days 7" in err and "3-day holdout" in err
+        assert "pipeline.eval_holdout_days" in err
+        assert not (out / "temporal_decay.json").exists()
+
     def test_staleness_beyond_every_history_fails(self, tmp_path, world_cfg, world_dir,
                                                   trained, caplog):
         rc = main(["experiment", "staleness", "--config", str(world_cfg),
