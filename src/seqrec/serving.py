@@ -9,6 +9,7 @@ are a total order.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import threading
@@ -20,7 +21,7 @@ import numpy as np
 from .configs import EncoderConfig
 from .embeddings import EmbeddingSet
 from .encoder import encode_user_vectors
-from .samples import SequenceSample, events_by_user, history_before
+from .samples import SequenceSample, history_before
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
@@ -80,11 +81,15 @@ class EmbeddingStore:
             self._staging[int(key)] = StoreEntry(vec, version, updated_at)
             return version
 
-    def commit(self) -> int:
-        """Atomically publish all staged writes; returns the new snapshot id."""
+    def commit(self, force: bool = False) -> int:
+        """Atomically publish all staged writes; returns the new snapshot id.
+
+        With nothing staged the snapshot stays, unless force publishes the
+        same entries under a new id."""
         with self._write_lock:
-            if self._staging is not None:
-                self._snapshot = (self._snapshot[0] + 1, self._staging)
+            if self._staging is not None or force:
+                self._snapshot = (self._snapshot[0] + 1,
+                                  self._snapshot[1] if self._staging is None else self._staging)
                 self._staging = None
             return self._snapshot[0]
 
@@ -114,6 +119,16 @@ class ServingSim:
         self._posts_by_id = {p.post_id: p for p in self.posts}
         self._flagged = {p.post_id for p in self.posts if p.integrity_violating}
         self._last_refresh_ts: dict[int, int] = {}
+        # refresh_users' fold of its event log up to _folded_ts: the log and its
+        # length, its events in time order (the first _folded_n are folded in),
+        # each user's stream on unflagged posts and last event ts over all posts.
+        self._log: list | None = None
+        self._log_len = 0
+        self._by_ts: list = []
+        self._folded_n = 0
+        self._folded_ts = 0
+        self._streams: dict[int, list] = {}
+        self._last_event_ts: dict[int, int] = {}
 
     # -- post side ---------------------------------------------------------
 
@@ -126,17 +141,48 @@ class ServingSim:
         return self.post_store.stage_upsert(post.post_id, vec, self.current_day)
 
     def bootstrap_posts(self, day: int) -> int:
-        """Index every non-flagged post created up to `day`; one snapshot swap."""
+        """Index every non-flagged post created up to `day` in one snapshot
+        swap; returns how many posts that is.
+
+        Only posts missing from the current snapshot are encoded and staged.
+        The post encoder is deterministic per post, so a post indexed earlier
+        keeps its vector, and its `version` and `updated_at` stay at its first
+        indexing.
+        """
+        snap = self.post_store.snapshot()[1]
         n = 0
         for p in self.posts:
             if p.created_at <= day and not p.integrity_violating:
-                self.upsert_post(p)
+                if p.post_id not in snap:
+                    self.upsert_post(p)
                 n += 1
-        self.post_store.commit()
+        self.post_store.commit(force=n > 0)
         self.current_day = day
         return n
 
     # -- user side ----------------------------------------------------------
+
+    def _fold_events(self, events: list, cutoff_ts: int) -> None:
+        """Bring the kept user streams up to the events before cutoff_ts.
+
+        A call that continues the previous one (the same log, no longer, and a
+        cutoff no earlier) folds in only the events since the previous cutoff.
+        They all come after the kept ones, so each stream stays in time order.
+        Any other call rebuilds the streams from the whole log.
+        """
+        if not (events is self._log and len(events) == self._log_len
+                and cutoff_ts >= self._folded_ts):
+            self._log, self._log_len = events, len(events)
+            self._by_ts = sorted(events, key=lambda e: e.ts)    # stable: ties keep log order
+            self._folded_n = 0
+            self._streams, self._last_event_ts = {}, {}
+        end = bisect.bisect_left(self._by_ts, cutoff_ts, lo=self._folded_n,
+                                 key=lambda e: e.ts)
+        for e in self._by_ts[self._folded_n:end]:
+            self._last_event_ts[e.user_id] = e.ts
+            if e.post_id not in self._flagged:
+                self._streams.setdefault(e.user_id, []).append(e)
+        self._folded_n, self._folded_ts = end, cutoff_ts
 
     def refresh_users(self, events: list, day: int) -> int:
         """Recompute embeddings for users with events since their last refresh.
@@ -146,19 +192,23 @@ class ServingSim:
         whose history references a post missing from the post index are
         skipped with a log line. All refreshed vectors publish in one snapshot
         swap.
+
+        `events` is read as one event log that callers only append to. The
+        users' streams are kept between calls: a call on the same, unchanged
+        log for the same or a later day folds in only the events since the
+        previous cutoff. A different log, a grown one or an earlier day
+        rebuilds the streams from scratch.
         """
         cutoff_ts = day * SECONDS_PER_DAY
+        self._fold_events(events, cutoff_ts)
         post_snap = self.post_store.snapshot()[1]
-        per_user = events_by_user([e for e in events if e.ts < cutoff_ts])
         refreshed = 0
         batch_samples, batch_uids = [], []
-        for uid in sorted(per_user):
-            stream = per_user[uid]
-            last = self._last_refresh_ts.get(uid, -1)
-            if stream[-1].ts <= last:
+        for uid in sorted(self._last_event_ts):
+            if self._last_event_ts[uid] <= self._last_refresh_ts.get(uid, -1):
                 continue  # nothing fresh since the previous refresh
-            hist = history_before([e for e in stream if e.post_id not in self._flagged],
-                                  cutoff_ts, self.enc_cfg.max_seq_len)
+            hist = history_before(self._streams.get(uid, []), cutoff_ts,
+                                  self.enc_cfg.max_seq_len)
             if not hist:
                 continue
             missing = [h.post_id for h in hist if h.post_id not in post_snap]

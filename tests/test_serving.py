@@ -11,7 +11,8 @@ from seqrec.configs import DatasetConfig, EncoderConfig
 from seqrec.encoder import init_params
 from seqrec.metrics import knn_top_ids
 from seqrec.post_encoder import PostEncoder
-from seqrec.samples import history_before
+from seqrec.embeddings import EmbeddingSet
+from seqrec.samples import SequenceSample, events_by_user, history_before
 from seqrec.serving import ColdUserError, EmbeddingStore, IntegrityRejectedError, ServingSim
 from seqrec.world import SECONDS_PER_DAY, InteractionEvent, build_world
 
@@ -319,3 +320,132 @@ class TestRetrieve:
         score = res.ranked[0][1]
         assert sim.retrieve(1, 5, threshold=score).ranked != []
         assert sim.retrieve(1, 5, threshold=score + 1e-9).ranked == []
+
+
+def _full_restage_bootstrap_posts(sim, day):
+    """Reference form of `ServingSim.bootstrap_posts`: re-encodes and re-stages
+    every non-flagged post created up to `day` on every call."""
+    n = 0
+    for p in sim.posts:
+        if p.created_at <= day and not p.integrity_violating:
+            sim.upsert_post(p)
+            n += 1
+    sim.post_store.commit()
+    sim.current_day = day
+    return n
+
+
+def _regrouping_refresh_users(sim, events, day):
+    """Reference form of `ServingSim.refresh_users`: regroups and re-sorts every
+    event before the cutoff on every call."""
+    cutoff_ts = day * SECONDS_PER_DAY
+    post_snap = sim.post_store.snapshot()[1]
+    per_user = events_by_user([e for e in events if e.ts < cutoff_ts])
+    refreshed = 0
+    batch_samples, batch_uids = [], []
+    for uid in sorted(per_user):
+        stream = per_user[uid]
+        if stream[-1].ts <= sim._last_refresh_ts.get(uid, -1):
+            continue
+        hist = history_before([e for e in stream if e.post_id not in sim._flagged],
+                              cutoff_ts, sim.enc_cfg.max_seq_len)
+        if not hist or any(h.post_id not in post_snap for h in hist):
+            continue
+        batch_samples.append(SequenceSample(uid, hist, [], cutoff_ts))
+        batch_uids.append(uid)
+    if batch_samples:
+        ids = sorted({h.post_id for s in batch_samples for h in s.history})
+        embs = EmbeddingSet(ids, [post_snap[pid].vector for pid in ids], check_norm=False)
+        vecs = serving.encode_user_vectors(batch_samples, embs, sim.params,
+                                           sim.enc_cfg, sim.surfaces)
+        for uid, vec in zip(batch_uids, vecs):
+            sim.user_store.stage_upsert(uid, vec, day)
+            sim._last_refresh_ts[uid] = cutoff_ts - 1
+            refreshed += 1
+    sim.user_store.commit()
+    sim.current_day = day
+    return refreshed
+
+
+class TestIncrementalDayBitEquality:
+    """The incremental serving day against the full-restage bootstrap and the
+    regrouping refresh, run side by side: same return values, snapshot ids,
+    store bytes and rankings on every day of every schedule."""
+
+    NEW_USER = 10**6
+    MISSING_POST = 10**6
+
+    def _extra_events(self, sim_world, day):
+        """A new user's events on `day`, over posts served by then."""
+        posts = [p for p in sim_world[0].posts
+                 if p.created_at < day and not p.integrity_violating][-3:]
+        return [InteractionEvent(self.NEW_USER, p.post_id, ActionType.LIKE, "feed",
+                                 day * SECONDS_PER_DAY + 60 * i)
+                for i, p in enumerate(posts)]
+
+    def _run(self, sim_world, schedule):
+        new, _ = make_sim(sim_world)
+        ref, _ = make_sim(sim_world)
+        for day, events in schedule:
+            assert new.bootstrap_posts(day) == _full_restage_bootstrap_posts(ref, day)
+            assert new.refresh_users(events, day) == _regrouping_refresh_users(ref, events, day)
+            for a, b in ((new.post_store, ref.post_store), (new.user_store, ref.user_store)):
+                assert a.snapshot_id == b.snapshot_id
+                assert list(a.snapshot()[1]) == list(b.snapshot()[1])   # retrieve walks this order
+                assert _vector_bytes(a) == _vector_bytes(b)
+            assert _stamps(new.user_store) == _stamps(ref.user_store)
+            assert {version for version, _ in _stamps(new.post_store).values()} == {1}
+            for uid in sorted(new.user_store.snapshot()[1]):
+                assert new.retrieve(uid, 20).ranked == ref.retrieve(uid, 20).ranked
+        assert new.query_log == ref.query_log
+        return new
+
+    def test_consecutive_days(self, sim_world):
+        events = sim_world[0].events
+        sim = self._run(sim_world, [(day, events) for day in range(2, 12)])
+        assert len(sim.post_store) > 200
+
+    def test_same_day_twice(self, sim_world):
+        events = sim_world[0].events
+        self._run(sim_world, [(8, events), (8, events), (9, events), (9, events)])
+
+    def test_days_out_of_order(self, sim_world):
+        events = sim_world[0].events
+        self._run(sim_world, [(9, events), (8, events), (10, events)])
+
+    def test_earlier_day_after_a_skipped_refresh(self, sim_world):
+        # the new user is served on day 8, skipped on day 10 for a post with
+        # no served embedding, and has nothing fresh before day 9's cutoff
+        events = sim_world[0].events + self._extra_events(sim_world, 7) + [
+            InteractionEvent(self.NEW_USER, self.MISSING_POST, ActionType.LIKE, "feed",
+                             9 * SECONDS_PER_DAY)]
+        sim = self._run(sim_world, [(8, events), (10, events), (9, events)])
+        assert sim.user_store.get(self.NEW_USER).updated_at == 8
+
+    def test_new_event_list_mid_run(self, sim_world):
+        events = sim_world[0].events
+        extra = self._extra_events(sim_world, 8)
+        same_length = events[:-len(extra)] + extra
+        sim = self._run(sim_world, [(7, events), (8, events), (9, same_length),
+                                    (10, same_length), (11, events)])
+        assert sim.user_store.get(self.NEW_USER).updated_at == 9
+
+    def test_log_grown_in_place(self, sim_world):
+        log = list(sim_world[0].events)
+
+        def schedule():
+            yield 7, log
+            yield 8, log
+            log.extend(self._extra_events(sim_world, 7))    # late arrivals before day 8
+            yield 9, log
+
+        sim = self._run(sim_world, schedule())
+        assert sim.user_store.get(self.NEW_USER).updated_at == 9
+
+
+def _vector_bytes(store):
+    return {key: entry.vector.tobytes() for key, entry in store.snapshot()[1].items()}
+
+
+def _stamps(store):
+    return {key: (entry.version, entry.updated_at) for key, entry in store.snapshot()[1].items()}
