@@ -8,10 +8,10 @@ import pytest
 import seqrec.serving as serving
 from seqrec.actions import ActionType
 from seqrec.configs import DatasetConfig, EncoderConfig
+from seqrec.embeddings import EmbeddingSet
 from seqrec.encoder import init_params
 from seqrec.metrics import knn_top_ids
 from seqrec.post_encoder import PostEncoder
-from seqrec.embeddings import EmbeddingSet
 from seqrec.samples import SequenceSample, events_by_user, history_before
 from seqrec.serving import ColdUserError, EmbeddingStore, IntegrityRejectedError, ServingSim
 from seqrec.world import SECONDS_PER_DAY, InteractionEvent, build_world

@@ -100,4 +100,4 @@ def test_serving_equals_offline_on_every_holdout_day(
             assert [pid for pid, _ in res.ranked] == ids[top].tolist()
             np.testing.assert_allclose([sc for _, sc in res.ranked], scores[top],
                                        rtol=0, atol=1e-12)
-        since, before = cutoff, dict(snap)
+        since, before = cutoff, snap
