@@ -98,6 +98,12 @@ def _resolve(sections: dict, flag_overrides: dict) -> dict:
         section, name = key.split(".", 1)
         if value is not None:
             configs[section] = dataclasses.replace(configs[section], **{name: value})
+    # training builds its encoder with train.dropout (trainer.variant_settings)
+    if ("dropout" in sections.get("encoder", {})
+            and configs["encoder"].dropout != configs["train"].dropout):
+        raise SystemExit1(f"encoder.dropout={configs['encoder'].dropout} differs from "
+                          f"train.dropout={configs['train'].dropout}, which training "
+                          f"uses; set train.dropout")
     return {name: to_json_dict(cfg) for name, cfg in configs.items()}
 
 

@@ -136,7 +136,7 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     pos_ids = np.zeros((B, L), dtype=np.int64)
     pos_ids[rows, cols] = cols
     act_ids = np.full((B, L), NULL_ACTION_ID, dtype=np.int64)
-    act_ids[rows, cols] = [h.action_id for h in items]
+    act_ids[rows, cols] = [int(h.action) for h in items]
     surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
     surf_ids[rows, cols] = [_surface_index(config, surfaces, h.surface) for h in items]
     rel = np.zeros((B, L))

@@ -9,8 +9,11 @@ from .world import SECONDS_PER_DAY
 
 @dataclass(frozen=True, slots=True)
 class HistoryItem:
+    """A history entry that is not a logged event: a synthetic backfill entry
+    or one a test builds. It reads like an InteractionEvent, minus user_id."""
+
     post_id: int
-    action_id: int                 # ActionType value or a reserved id (backfill)
+    action: int                    # ActionType value or a reserved id (backfill)
     surface: str
     ts: int
 
@@ -25,7 +28,7 @@ class SequenceSample:
     """
 
     user_id: int
-    history: list                  # list[HistoryItem], length <= L_max
+    history: list                  # time-ordered events or HistoryItems, length <= L_max
     long_targets: list             # list[int] post ids
     cutoff_time: int
     target_ts: list = field(default_factory=list)  # timestamps aligned with long_targets
@@ -91,19 +94,16 @@ def holdout_start_ts(events: list, eval_holdout_days: int) -> int:
     return (horizon_day - eval_holdout_days) * SECONDS_PER_DAY
 
 
-def _history_items(stream: list) -> list:
-    return [HistoryItem(e.post_id, int(e.action), e.surface, e.ts) for e in stream]
-
-
 def history_before(stream: list, cutoff_ts: int, max_len: int) -> list:
     """The last max_len events of a time-sorted stream that fall strictly
-    before cutoff_ts, as HistoryItems.
+    before cutoff_ts: a slice of the stream, so it holds the stream's own
+    event objects, not copies of them.
 
     Offline samples, the experiments and the serving refresh all cut user
     histories here.
     """
     n = bisect.bisect_left(stream, cutoff_ts, key=lambda e: e.ts)
-    return _history_items(stream[max(0, n - max_len):n])
+    return stream[max(0, n - max_len):n]
 
 
 def collect_targets(future: list, exclude: set, m: int,
@@ -147,8 +147,8 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
     train: list[SequenceSample] = []
     eval_: list[SequenceSample] = []
     for uid, stream in sorted(events_by_user(events).items()):
-        past = [e for e in stream if e.ts < holdout_ts]
-        future = [e for e in stream if e.ts >= holdout_ts]
+        n_past = bisect.bisect_left(stream, holdout_ts, key=lambda e: e.ts)
+        past, future = stream[:n_past], stream[n_past:]
 
         if past and future:
             hist = history_before(stream, holdout_ts, L_max)
@@ -166,11 +166,8 @@ def build_samples(events: list, L_max: int, m: int, eval_holdout_days: int,
         while made < max_train_per_user and end >= 1:
             block_start = max(1, end - m + 1)
             targets = past[block_start:end + 1]
-            hist_events = past[:block_start]
-            if not hist_events:
-                break
             cutoff = targets[0].ts
-            hist = _history_items(hist_events[-L_max:])
+            hist = past[max(0, block_start - L_max):block_start]
             hist_ids = {h.post_id for h in hist}
             tgt_ids, tgt_ts = collect_targets(
                 targets, hist_ids, m,

@@ -21,7 +21,7 @@ import numpy as np
 from .configs import EncoderConfig
 from .embeddings import EmbeddingSet
 from .encoder import encode_user_vectors
-from .samples import SequenceSample, history_before
+from .samples import SequenceSample, events_by_user, history_before
 from .world import SECONDS_PER_DAY
 
 log = logging.getLogger(__name__)
@@ -119,16 +119,13 @@ class ServingSim:
         self._posts_by_id = {p.post_id: p for p in self.posts}
         self._flagged = {p.post_id for p in self.posts if p.integrity_violating}
         self._last_refresh_ts: dict[int, int] = {}
-        # refresh_users' fold of its event log up to _folded_ts: the log and its
-        # length, its events in time order (the first _folded_n are folded in),
-        # each user's stream on unflagged posts and last event ts over all posts.
+        # refresh_users' grouping of its event log (the log and its length):
+        # each user's time-sorted stream, in user id order, over all posts and
+        # over the unflagged posts only
         self._log: list | None = None
         self._log_len = 0
-        self._by_ts: list = []
-        self._folded_n = 0
-        self._folded_ts = 0
-        self._streams: dict[int, list] = {}
-        self._last_event_ts: dict[int, int] = {}
+        self._by_user: dict[int, list] = {}
+        self._unflagged: dict[int, list] = {}
 
     # -- post side ---------------------------------------------------------
 
@@ -162,28 +159,6 @@ class ServingSim:
 
     # -- user side ----------------------------------------------------------
 
-    def _fold_events(self, events: list, cutoff_ts: int) -> None:
-        """Bring the kept user streams up to the events before cutoff_ts.
-
-        A call that continues the previous one (the same log, no longer, and a
-        cutoff no earlier) folds in only the events since the previous cutoff.
-        They all come after the kept ones, so each stream stays in time order.
-        Any other call rebuilds the streams from the whole log.
-        """
-        if not (events is self._log and len(events) == self._log_len
-                and cutoff_ts >= self._folded_ts):
-            self._log, self._log_len = events, len(events)
-            self._by_ts = sorted(events, key=lambda e: e.ts)    # stable: ties keep log order
-            self._folded_n = 0
-            self._streams, self._last_event_ts = {}, {}
-        end = bisect.bisect_left(self._by_ts, cutoff_ts, lo=self._folded_n,
-                                 key=lambda e: e.ts)
-        for e in self._by_ts[self._folded_n:end]:
-            self._last_event_ts[e.user_id] = e.ts
-            if e.post_id not in self._flagged:
-                self._streams.setdefault(e.user_id, []).append(e)
-        self._folded_n, self._folded_ts = end, cutoff_ts
-
     def refresh_users(self, events: list, day: int) -> int:
         """Recompute embeddings for users with events since their last refresh.
 
@@ -193,21 +168,25 @@ class ServingSim:
         skipped with a log line. All refreshed vectors publish in one snapshot
         swap.
 
-        `events` is read as one event log that callers only append to. The
-        users' streams are kept between calls: a call on the same, unchanged
-        log for the same or a later day folds in only the events since the
-        previous cutoff. A different log, a grown one or an earlier day
-        rebuilds the streams from scratch.
+        `events` is read as one event log that callers only append to. It is
+        grouped by user once (`samples.events_by_user`) and grouped again only
+        when a call passes another log object or a log of another length, so
+        days in any order read the same grouping.
         """
         cutoff_ts = day * SECONDS_PER_DAY
-        self._fold_events(events, cutoff_ts)
+        if not (events is self._log and len(events) == self._log_len):
+            self._log, self._log_len = events, len(events)
+            self._by_user = dict(sorted(events_by_user(events).items()))
+            self._unflagged = {uid: [e for e in stream if e.post_id not in self._flagged]
+                               for uid, stream in self._by_user.items()}
         post_snap = self.post_store.snapshot()[1]
         refreshed = 0
         batch_samples, batch_uids = [], []
-        for uid in sorted(self._last_event_ts):
-            if self._last_event_ts[uid] <= self._last_refresh_ts.get(uid, -1):
+        for uid, stream in self._by_user.items():
+            n = bisect.bisect_left(stream, cutoff_ts, key=lambda e: e.ts)
+            if n == 0 or stream[n - 1].ts <= self._last_refresh_ts.get(uid, -1):
                 continue  # nothing fresh since the previous refresh
-            hist = history_before(self._streams.get(uid, []), cutoff_ts,
+            hist = history_before(self._unflagged[uid], cutoff_ts,
                                   self.enc_cfg.max_seq_len)
             if not hist:
                 continue

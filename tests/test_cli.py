@@ -114,6 +114,15 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_encoder_dropout_apart_from_train_dropout_exit_1(self, tmp_path, capsys):
+        bad = _config_with(tmp_path, encoder={"dropout": 0.1})
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "encoder.dropout=0.1" in err and "train.dropout=0.2" in err
+        assert not (tmp_path / "o").exists()
+        agreed = _config_with(tmp_path, encoder={"dropout": 0.1}, train={"dropout": 0.1})
+        assert _resolve(json.loads(agreed.read_text()), {})["encoder"]["dropout"] == 0.1
+
     def test_runtime_failure_exit_2(self, tmp_path, world_cfg):
         # train against a world directory that does not exist
         rc = main(["train", "--config", str(world_cfg), "--world",

@@ -99,7 +99,7 @@ class TestPopularBackfill:
         policy = BackfillPolicy(mode="popular", marginal_threshold=3, fill_to=5)
         items = popular_backfill(profile(1), [], pop, policy, before_ts=99_999)
         assert [h.post_id for h in items] == [100, 101]
-        assert all(h.action_id == BACKFILL_ACTION_ID for h in items)
+        assert all(h.action == BACKFILL_ACTION_ID for h in items)
 
     def test_attribute_match_when_available(self):
         events = ([ev(5, 200)] * 5 + [ev(6, 201)] * 3 + [ev(7, 202)] * 4)
@@ -188,5 +188,5 @@ class TestBackfillHistory:
         real = [HistoryItem(300, 0, "feed", 900_000), HistoryItem(301, 0, "feed", 900_060)]
         out = backfill_history(profile(1), real, policy, events, None, pop, 1_000_000)
         assert [h.post_id for h in out[-2:]] == [300, 301]
-        assert all(h.action_id == BACKFILL_ACTION_ID for h in out[:-2])
+        assert all(h.action == BACKFILL_ACTION_ID for h in out[:-2])
         assert len(out) == 6

@@ -109,7 +109,7 @@ def _assemble_per_sample(samples, embeddings, params, config, surfaces):
                 [h.post_id for h in hist])
         for t, h in enumerate(hist):
             col = t + cls_extra
-            pos_ids[b, col], act_ids[b, col] = col, h.action_id
+            pos_ids[b, col], act_ids[b, col] = col, h.action
             surf_ids[b, col] = surfaces.get(h.surface, config.n_surfaces)
             is_real[b, col] = True
             if config.use_time:
@@ -344,7 +344,7 @@ class TestMicroOracle:
             rel = math.log1p(300 - h.ts)
             tin = [e[0], e[1], rel]
             tok = [sum(tin[k] * params["time_w"][k][i] for k in range(3)) + params["time_b"][i]
-                   + params["pos_table"][t][i] + params["action_table"][h.action_id][i]
+                   + params["pos_table"][t][i] + params["action_table"][h.action][i]
                    + params["surface_table"][0][i] for i in range(2)]
             tokens.append(tok)
         # attention (single head, d_k = 2)

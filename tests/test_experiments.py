@@ -14,7 +14,7 @@ from seqrec.experiments import (
 from seqrec.manifest import RunManifest
 from seqrec.metrics import EvalReport
 from seqrec.pipeline import alive_corpus, load_pipeline, prepare
-from seqrec.samples import HistoryItem, events_by_user
+from seqrec.samples import events_by_user
 from seqrec.trainer import UserTower, train
 from seqrec.world import SECONDS_PER_DAY
 
@@ -186,8 +186,7 @@ def _old_coldstart_slice(data, marginal_threshold, m_eval):
         if not future_ids:
             continue
         slice_users.append(uid)
-        real_hist[uid] = [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
-                          for e in past]
+        real_hist[uid] = past
         targets[uid] = future_ids[:m_eval]
     slice_users.sort()
     return slice_users, real_hist, targets
@@ -219,8 +218,7 @@ def _old_decay_days(data, horizon_days, m, max_len):
                  if uid in per_user and any(e.ts < cutoff_ts for e in per_user[uid])]
         missing = [u for u in users if u not in encoded]
         encoded.update(missing)
-        histories = [(u, [HistoryItem(e.post_id, int(e.action), e.surface, e.ts)
-                          for e in per_user[u] if e.ts < cutoff_ts][-max_len:], cutoff_ts)
+        histories = [(u, [e for e in per_user[u] if e.ts < cutoff_ts][-max_len:], cutoff_ts)
                      for u in missing]
         out.append((histories, users, [per_day[u] for u in users],
                     [seen_all[u] for u in users]))

@@ -442,6 +442,19 @@ class TestIncrementalDayBitEquality:
         sim = self._run(sim_world, schedule())
         assert sim.user_store.get(self.NEW_USER).updated_at == 9
 
+    def test_log_cut_in_place(self, sim_world):
+        extra = self._extra_events(sim_world, 8)
+        log = list(sim_world[0].events) + extra
+
+        def schedule():
+            yield 8, log
+            del log[-len(extra):]    # the new user's day-8 events leave the log
+            yield 9, log
+            yield 10, log
+
+        sim = self._run(sim_world, schedule())
+        assert sim.user_store.get(self.NEW_USER) is None
+
 
 def _vector_bytes(store):
     return {key: entry.vector.tobytes() for key, entry in store.snapshot()[1].items()}

@@ -12,7 +12,7 @@ from seqrec.dataio import (
 )
 from seqrec.post_encoder import PostEncoder
 from seqrec.samples import (
-    HistoryItem, build_samples, events_by_user, filter_events, history_before,
+    build_samples, events_by_user, filter_events, history_before,
 )
 from seqrec.world import (
     SECONDS_PER_DAY, InteractionEvent, build_world, generate_world, measure_week_survival,
@@ -274,8 +274,18 @@ class TestHistoryBefore:
         assert history_before([], 100, 3) == []
 
     def test_max_len_may_exceed_stream(self):
-        assert history_before(self.STREAM, 10**9, 50) == [
-            HistoryItem(e.post_id, int(e.action), e.surface, e.ts) for e in self.STREAM]
+        assert history_before(self.STREAM, 10**9, 50) == self.STREAM
+
+    def test_returns_the_streams_own_events(self):
+        hist = history_before(self.STREAM, 450, 2)
+        assert len(hist) == 2
+        assert all(h is e for h, e in zip(hist, self.STREAM[2:4]))
+
+    def test_samples_hold_the_logged_events(self, small_bundle):
+        train, eval_ = build_samples(small_bundle.events, L_max=8, m=4, eval_holdout_days=3)
+        assert train and eval_
+        logged = {id(e) for e in small_bundle.events}
+        assert all(id(h) in logged for s in train + eval_ for h in s.history)
 
 
 def action_predictiveness(events: list, embeddings) -> dict:
