@@ -4,8 +4,11 @@ The behaviour lock trains only `full_with_time` with `last` pooling over the
 full negative pool. This lock covers the paths it misses: the averaged-
 embedding baseline, attention pooling, sampled negatives, `ttt` with sum
 pooling, and the post tower. For each run it pins the sha256 of the float64
-loss trajectory, the grad-norm trajectory and the final parameters. A change
-that must move a value updates the golden in the same change and says why.
+loss trajectory, the grad-norm trajectory and the final parameters. It also
+pins the eval-mode forward: the user vectors `encode_user_vectors` gives for
+the lock world's eval samples, in chunks of unlike lengths, and the hidden
+states of one `encode_sequence`. A change that must move a value updates the
+golden in the same change and says why.
 """
 import dataclasses
 import hashlib
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from seqrec.configs import DatasetConfig, EncoderConfig, LossConfig, TrainConfig
+from seqrec.encoder import encode_sequence, encode_user_vectors, init_params
 from seqrec.pipeline import prepare
 from seqrec.post_encoder import PostTowerConfig, build_coengagement_pairs, train_post_tower
 from seqrec.trainer import train
@@ -21,6 +25,10 @@ from seqrec.trainer import train
 DATASET = DatasetConfig(users=50, posts_per_day=30, days=12, n_topics=8,
                         activity_rate=3.0, calibrate_survival=False)
 ENCODER = EncoderConfig(max_seq_len=12)
+# every eval history of the lock world fills 12 positions; cut at 40 they run
+# 19-40 long, so chunks of 10 pad to three different lengths (38, 40, 36)
+FORWARD_ENCODER = EncoderConfig(max_seq_len=40)
+FORWARD_CHUNK = 10
 SEED = 7
 
 RUNS = {
@@ -53,6 +61,11 @@ GOLDEN = {
 GOLDEN_POST_TOWER = {
     "losses": "1c15d51abb14876c374d2e51935830288d999ab33c16faa5542e6be1c96daafa",
     "params": "8f988b1fd1591922acc66cd0286a10cead584b0b120fe03bf13c740143818f8d",
+}
+
+GOLDEN_FORWARD = {
+    "user_vectors": "a0a11ee7a76626b4b497fde9dbd16f028ab85936190e44f84b963114f3b08e93",
+    "sequence_hidden": "20fd54110e1cea278855677bdc18d7f3bc47c4fe8b3e38f3808090cc23460321",
 }
 
 
@@ -91,3 +104,23 @@ def test_post_tower_trajectory_identical(world):
                                       world.posts, DATASET, cfg)
     got = {"losses": _digest(losses), "params": _params_digest(params)}
     assert got == GOLDEN_POST_TOWER
+
+
+@pytest.fixture(scope="module")
+def forward_world():
+    return prepare(DATASET, seed=SEED, enc_cfg=FORWARD_ENCODER, eval_holdout_days=2, m=3)
+
+
+def test_eval_forward_identical(forward_world):
+    samples = forward_world.eval
+    lengths = [len(s.history) for s in samples]
+    chunk_max = {max(lengths[lo:lo + FORWARD_CHUNK])
+                 for lo in range(0, len(lengths), FORWARD_CHUNK)}
+    assert len(chunk_max) >= 3, chunk_max
+    params = init_params(FORWARD_ENCODER, seed=SEED)
+    vecs = encode_user_vectors(samples, forward_world.embeddings, params, FORWARD_ENCODER,
+                               forward_world.surfaces, chunk=FORWARD_CHUNK)
+    hidden, _ = encode_sequence(samples[2], forward_world.embeddings, params,
+                                FORWARD_ENCODER, forward_world.surfaces)
+    got = {"user_vectors": _digest(vecs), "sequence_hidden": _digest(hidden)}
+    assert got == GOLDEN_FORWARD
