@@ -71,21 +71,34 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
-def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias):
-    """Multi-head attention: softmax(Q K^T / sqrt(d_k) + bias) V, concat, project."""
+def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias, cache: bool = True):
+    """Multi-head attention: softmax(Q K^T / sqrt(d_k) + bias) V, concat, project.
+
+    With cache=False nothing is kept for mha_backward and the cache returned
+    is None: q and k go once the scores exist, and v is projected only after
+    the softmax, so at most one (B, H, L, L) buffer and two (B, L, d) ones are
+    alive beside x. The output bytes are the same either way.
+    """
     d_k = x.shape[-1] // n_heads
     q = _split_heads(x @ wq, n_heads)
     k = _split_heads(x @ wk, n_heads)
-    v = _split_heads(x @ wv, n_heads)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    if not cache:
+        q = k = None
     scores /= math.sqrt(d_k)
     scores += bias
     attn = masked_softmax(scores)
-    ctx = _merge_heads(attn @ v)
+    del scores                      # attn is the same buffer
+    v = _split_heads(x @ wv, n_heads)
+    ctx = attn @ v
+    if not cache:
+        attn = v = None
+    ctx = _merge_heads(ctx)
     out = ctx @ wo
-    cache = dict(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx,
-                 wq=wq, wk=wk, wv=wv, wo=wo, n_heads=n_heads, d_k=d_k)
-    return out, cache
+    if not cache:
+        return out, None
+    return out, dict(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx,
+                     wq=wq, wk=wk, wv=wv, wo=wo, n_heads=n_heads, d_k=d_k)
 
 
 def mha_backward(cache, d_out):

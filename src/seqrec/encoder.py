@@ -93,7 +93,8 @@ class BatchAssembly:
     pos_ids: np.ndarray            # (B, L)
     act_ids: np.ndarray            # (B, L)
     surf_ids: np.ndarray           # (B, L)
-    tp_in: np.ndarray              # (B, L, d+1) inputs of the time projection
+    tp_in: np.ndarray | None       # (B, L, d+1) inputs of the time projection;
+                                   # read only by assembly_backward
 
 
 def _surface_index(config: EncoderConfig, surfaces: dict, name: str | None) -> int:
@@ -192,10 +193,11 @@ def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
     """Run the encoder stack; returns (hidden (B,L,d), user_vec (B,d), cache).
 
     user_vec is the pooled, L2-normalized sequence representation. Dropout is
-    active only when train=True and an rng is supplied. With cache=False each
-    layer's backward cache is dropped as soon as the layer is done and the
-    returned cache is None: the same outputs, bit for bit, for callers that
-    never run backward_batch.
+    active only when train=True and an rng is supplied. With cache=False
+    nothing is kept for backward_batch and the returned cache is None: each
+    block's cache and each residual input is dropped as soon as no later step
+    reads it, so only live tensors are held. The outputs are the cached
+    forward's, bit for bit.
     """
     drop_rng = rng if train else None
     rate = config.dropout if train else 0.0
@@ -204,25 +206,33 @@ def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
     x, in_mask = dropout_forward(asm.tokens, rate, drop_rng)
     layer_caches = []
     for i in range(config.n_layers):
+        # without backward, a cache or residual input goes once its last reader has run
         attn_out, attn_cache = mha_forward(
             x, params[layer_key(i, "wq")], params[layer_key(i, "wk")],
             params[layer_key(i, "wv")], params[layer_key(i, "wo")],
-            config.n_heads, bias)
+            config.n_heads, bias, cache)
         attn_out, m1 = dropout_forward(attn_out, rate, drop_rng)
-        ln1_in = x + attn_out
+        attn_out += x                   # x + attn_out, bit for bit
+        x = None
         h1, ln1_cache = layer_norm_forward(
-            ln1_in, params[layer_key(i, "ln1_g")], params[layer_key(i, "ln1_b")])
+            attn_out, params[layer_key(i, "ln1_g")], params[layer_key(i, "ln1_b")])
+        attn_out = None
+        if not cache:
+            ln1_cache = None
         ffn_out, ffn_cache = ffn_forward(
             h1, params[layer_key(i, "ffn_w1")], params[layer_key(i, "ffn_b1")],
             params[layer_key(i, "ffn_w2")], params[layer_key(i, "ffn_b2")])
+        if not cache:
+            ffn_cache = None
         ffn_out, m2 = dropout_forward(ffn_out, rate, drop_rng)
-        h2, ln2_cache = layer_norm_forward(
-            h1 + ffn_out, params[layer_key(i, "ln2_g")], params[layer_key(i, "ln2_b")])
+        ffn_out += h1                   # h1 + ffn_out, bit for bit
+        h1 = None
+        x, ln2_cache = layer_norm_forward(
+            ffn_out, params[layer_key(i, "ln2_g")], params[layer_key(i, "ln2_b")])
+        ffn_out = None
         if cache:
             layer_caches.append((attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache))
-        # without backward this layer's caches go before the next one builds its own
         del attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache
-        x = h2
     hidden = x
 
     pooled, pool_cache = _pool_forward(hidden, asm, params, config)
@@ -329,6 +339,7 @@ def encode_user_vectors(samples: list, embeddings, params: dict,
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
         asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
+        asm.tp_in = None            # no backward will read it
         out[lo:lo + len(part)] = encode_batch(asm, params, config, cache=False)[1]
     return out
 

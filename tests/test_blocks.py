@@ -166,6 +166,23 @@ def _mha_forward_reference(x, wq, wk, wv, wo, n_heads, bias):
     return _merge_heads(attn @ v) @ wo, attn
 
 
+def _mha_forward_all_live(x, wq, wk, wv, wo, n_heads, bias):
+    """mha_forward as it was when it kept every tensor for backward: v
+    projected before the scores, the cache built unconditionally."""
+    d_k = x.shape[-1] // n_heads
+    q = _split_heads(x @ wq, n_heads)
+    k = _split_heads(x @ wk, n_heads)
+    v = _split_heads(x @ wv, n_heads)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores /= math.sqrt(d_k)
+    scores += bias
+    attn = masked_softmax(scores)
+    ctx = _merge_heads(attn @ v)
+    out = ctx @ wo
+    cache = dict(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx,
+                 wq=wq, wk=wk, wv=wv, wo=wo, n_heads=n_heads, d_k=d_k)
+    return out, cache
+
 def _layer_norm_reference(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -238,3 +255,27 @@ class TestForwardBitEquality:
         ref_out, ref_dx = _ffn_reference(x, w1, b1, w2, b2, d_out)
         assert out.tobytes() == ref_out.tobytes()
         assert ffn_backward(cache, d_out)[0].tobytes() == ref_dx.tobytes()
+
+
+class TestCacheFreeAttention:
+    """mha_forward(cache=False), which drops q and k after the scores and
+    projects v after the softmax, returns the all-live form's exact bytes; the
+    cached call keeps every cache entry's bytes."""
+
+    D, L = 64, 33
+
+    @pytest.mark.parametrize("b", [64, 256])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_same_bytes_as_all_live_form(self, b, causal, heads):
+        _, x, valid, ws = TestForwardBitEquality()._batch(b, seed=b + heads)
+        bias = attention_bias(valid, causal)
+        ref_out, ref_cache = _mha_forward_all_live(x, *ws, heads, bias)
+        out, none = mha_forward(x, *ws, heads, bias, cache=False)
+        assert none is None
+        assert out.tobytes() == ref_out.tobytes()
+        out, cache = mha_forward(x, *ws, heads, bias)
+        assert out.tobytes() == ref_out.tobytes()
+        assert cache.keys() == ref_cache.keys()
+        for name in ("x", "q", "k", "v", "attn", "ctx"):
+            assert cache[name].tobytes() == ref_cache[name].tobytes(), name

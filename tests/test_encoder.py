@@ -191,8 +191,10 @@ def test_encode_user_vectors_keeps_one_chunk_alive():
 
 
 def test_cache_free_forward_peaks_lower():
-    """One 64-row chunk: the forward that drops each layer's cache as it goes
-    peaks well below the one that keeps every cache for backward."""
+    """One 64-row chunk: the forward that drops each cache and residual input
+    once no later step reads it peaks well below the one that keeps every
+    cache for backward (0.29 of it at this shape; 0.65 when whole layer
+    caches lived until the layer ended)."""
     cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, max_seq_len=16,
                         dropout=0.0, pooling="last", d_ff=32, n_surfaces=2)
     embs = random_embeddings(80, 16, seed=4)
@@ -210,7 +212,7 @@ def test_cache_free_forward_peaks_lower():
             tracemalloc.stop()
 
     cached, free = peak(True), peak(False)
-    assert free < 0.75 * cached, (free, cached)
+    assert free < 0.4 * cached, (free, cached)
 
 
 class TestCacheFreeForward:
