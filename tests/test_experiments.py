@@ -227,10 +227,11 @@ def _old_decay_days(data, horizon_days, m, max_len):
 
 class _Recorder:
     """Stands in for a tower's encoder and for the KNN ranking; records the
-    samples each encodes and the (targets, seen) each ranks."""
+    samples each encodes, the (targets, hidden seen posts per row) each ranks,
+    and the corpus and seen cells it ranks them against."""
 
     def __init__(self, monkeypatch, tower):
-        self.encoded, self.ranked = [], []
+        self.encoded, self.ranked, self.corpora, self.cells = [], [], [], []
         monkeypatch.setattr(tower, "eval_user_vectors", self._encode)
         monkeypatch.setattr(experiments, "_knn_hits_excluding_seen", self._rank)
 
@@ -238,9 +239,18 @@ class _Recorder:
         self.encoded.append([(s.user_id, s.history, s.cutoff_time) for s in samples])
         return np.zeros((len(samples), embeddings.dim))
 
-    def _rank(self, user_vecs, target_sets, seen_sets, corpus_ids, corpus_vecs, k):
-        self.ranked.append((target_sets, seen_sets))
+    def _rank(self, user_vecs, target_sets, seen_cells, corpus_ids, corpus_vecs, k):
+        hidden = [set() for _ in target_sets]
+        for row, col in zip(*seen_cells):
+            hidden[row].add(int(corpus_ids[col]))
+        self.ranked.append((target_sets, hidden))
+        self.corpora.append(set(corpus_ids.tolist()))
+        self.cells.append(seen_cells)
         return EvalReport(metric="knn_hits", k=k, hits=0, n_queries=len(target_sets))
+
+    def in_corpus(self, call, seen_sets):
+        """seen_sets cut to the corpus the given ranking call saw."""
+        return [seen & self.corpora[call] for seen in seen_sets]
 
 
 def _tiny_tower(data, max_seq_len):
@@ -258,8 +268,9 @@ def test_coldstart_slice_matches_old_loop(marginal_world_data, monkeypatch, thre
     users, real_hist, targets = _old_coldstart_slice(data, threshold, m_eval=4)
     assert len(users) >= 5
     assert rec.encoded == [[(u, real_hist[u][-8:], data.holdout_start_ts) for u in users]]
-    assert rec.ranked == [([targets[u] for u in users],
-                           [{h.post_id for h in real_hist[u]} for u in users])]
+    seen = rec.in_corpus(0, [{h.post_id for h in real_hist[u]} for u in users])
+    assert any(seen)
+    assert rec.ranked == [([targets[u] for u in users], seen)]
 
 
 def test_temporal_decay_days_match_old_loop(marginal_world_data, monkeypatch):
@@ -273,4 +284,21 @@ def test_temporal_decay_days_match_old_loop(marginal_world_data, monkeypatch):
     assert all(users for _, users, _, _ in days)
     # each variant encodes and ranks the same days
     assert rec.encoded == 2 * [hist for hist, _, _, _ in days if hist]
-    assert rec.ranked == 2 * [(targets, seen) for _, _, targets, seen in days]
+    assert rec.ranked == [(targets, rec.in_corpus(call, seen)) for call, (_, _, targets, seen)
+                          in enumerate(2 * days)]
+    assert any(any(seen) for _, seen in rec.ranked)
+
+
+@pytest.mark.parametrize("run", ["staleness", "coldstart"])
+def test_seen_cells_built_once_per_experiment(marginal_world_data, monkeypatch, run):
+    """Staleness ranks its levels, and cold start its policies, against one
+    corpus and one seen set per user, so they share one set of seen cells."""
+    data = marginal_world_data
+    tower = _tiny_tower(data, max_seq_len=8)
+    rec = _Recorder(monkeypatch, tower)
+    if run == "staleness":
+        staleness_experiment(tower, data, max_stale_days=2)
+    else:
+        coldstart_eval(data, tower, marginal_threshold=20)
+    assert len(rec.cells) == 3 and rec.cells[0][0].size > 0
+    assert all(cells is rec.cells[0] for cells in rec.cells)

@@ -13,7 +13,7 @@ import pytest
 
 from seqrec.configs import DatasetConfig, EncoderConfig
 from seqrec.encoder import init_params
-from seqrec.experiments import _knn_hits_excluding_seen
+from seqrec.experiments import _knn_hits_excluding_seen, _seen_cells
 from seqrec.metrics import knn_hits_at_k, knn_top_ids, top_k_columns
 from seqrec.pipeline import alive_corpus
 from seqrec.post_encoder import PostEncoder
@@ -216,7 +216,8 @@ class TestOfflineBitEquality:
         queries, targets, seen, ids, vecs = self._seen_case(seed=3)
         assert any(s - set(ids.tolist()) for s in seen)
         for k in self.KS:
-            rep = _knn_hits_excluding_seen(queries, targets, seen, ids, vecs, k)
+            rep = _knn_hits_excluding_seen(queries, targets, _seen_cells(seen, ids),
+                                           ids, vecs, k)
             assert rep.hits == _excluding_seen_reference(queries, targets, seen,
                                                          ids, vecs, k)
 
@@ -227,14 +228,32 @@ class TestOfflineBitEquality:
         seen = [s | set(ids[:30].tolist()) for s in seen]
         targets = [t + sorted(s & set(ids.tolist()))[:1] for t, s in zip(targets, seen)]
         for k in (11, 12, 20, 35, 39, 40, 41):
-            rep = _knn_hits_excluding_seen(queries, targets, seen, ids, vecs, k)
+            rep = _knn_hits_excluding_seen(queries, targets, _seen_cells(seen, ids),
+                                           ids, vecs, k)
             assert rep.hits == _excluding_seen_reference(queries, targets, seen,
                                                          ids, vecs, k)
 
     def test_excluding_seen_empty_corpus(self):
-        rep = _knn_hits_excluding_seen(np.ones((2, 6)), [[1], [2]], [{1}, set()],
-                                       np.zeros(0, dtype=np.int64), np.zeros((0, 6)), 5)
+        empty = np.zeros(0, dtype=np.int64)
+        rep = _knn_hits_excluding_seen(np.ones((2, 6)), [[1], [2]],
+                                       _seen_cells([{1}, set()], empty), empty,
+                                       np.zeros((0, 6)), 5)
         assert (rep.hits, rep.n_queries) == (0, 2)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_seen_cells_match_the_dict_loop(self, seed):
+        """The hidden cells are the ones the per-call dict lookup found, over
+        an unsorted corpus, absent seen ids and empty seen sets."""
+        _, _, seen, ids, _ = self._seen_case(seed=seed)
+        ids = np.random.Generator(np.random.PCG64(seed)).permutation(ids)
+        seen[0] = set()
+        col = {int(pid): i for i, pid in enumerate(ids)}
+        old = {(row, col[int(pid)]) for row, s in enumerate(seen)
+               for pid in s if int(pid) in col}
+        rows, cols = _seen_cells(seen, ids)
+        assert len(old) == rows.size and set(zip(rows.tolist(), cols.tolist())) == old
+        rows, cols = _seen_cells(seen, np.zeros(0, dtype=np.int64))
+        assert rows.size == cols.size == 0
 
 
 # -- serving ------------------------------------------------------------------
