@@ -31,7 +31,7 @@ from .pipeline import alive_corpus, load_pipeline
 from .post_encoder import (
     PostEncoder, PostTowerConfig, build_coengagement_pairs, train_post_tower,
 )
-from .serving import ServingSim
+from .serving import ColdUserError, ServingSim
 from .tensorio import save_tensors
 from .trainer import UserTower, batch_hits_eval, train
 from .world import SECONDS_PER_DAY, generate_world
@@ -240,7 +240,7 @@ def run_serve_sim(resolved: dict, out: Path, args):
                      post_encoder=data.post_encoder, surfaces=data.surfaces)
     horizon_day = data.holdout_days.stop
     start = max(1, horizon_day - args.days)
-    refreshed_total = served = 0
+    refreshed_total = served = cold_misses = 0
     work_corpus, work_secs = [], []
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(data.bundle.seed)))
     for day in range(start, horizon_day):
@@ -251,13 +251,19 @@ def run_serve_sim(resolved: dict, out: Path, args):
         if candidates:
             for uid in rng.choice(candidates, size=min(args.queries_per_day, len(candidates)),
                                   replace=False):
-                res = sim.retrieve(int(uid), args.k, args.threshold)
+                try:
+                    res = sim.retrieve(int(uid), args.k, args.threshold)
+                except ColdUserError:
+                    # every earlier event of this user is on a flagged post
+                    # (possible only without the integrity filter)
+                    cold_misses += 1
+                    continue
                 work_corpus.append(res.work["corpus"])
                 work_secs.append(res.work["seconds"])
                 served += 1
     sim.write_query_log(out / "queries.jsonl")
     metrics = {"days": horizon_day - start, "users_refreshed": refreshed_total,
-               "queries_served": served,
+               "queries_served": served, "cold_misses": cold_misses,
                "post_snapshot": sim.post_store.snapshot_id,
                "user_snapshot": sim.user_store.snapshot_id,
                "mean_query_corpus": float(np.mean(work_corpus)) if work_corpus else 0.0,

@@ -45,7 +45,7 @@ GOLDEN_METRICS = {
               "hits20_stale_1": 0.9387755102040817,
               "hits20_stale_2": 0.7142857142857143,
               "hits20_stale_3": 0.7959183673469388},
-    "serve": {"days": 2, "mean_query_corpus": 166.0, "post_snapshot": 2,
+    "serve": {"cold_misses": 0, "days": 2, "mean_query_corpus": 166.0, "post_snapshot": 2,
               "queries_served": 10, "user_snapshot": 2, "users_refreshed": 94},
 }
 

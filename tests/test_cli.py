@@ -209,6 +209,26 @@ class TestRunChecks:
         assert str(ckpt) in err and "'baseline_avg'" in err
         assert not (tmp_path / "serve" / "queries.jsonl").exists()
 
+    def test_serve_sim_counts_a_cold_user_as_a_miss(self, tmp_path):
+        """Without the integrity filter a queried user whose every earlier event
+        is on a flagged post has no served vector (user 43 before day 11 of
+        this seed-2 world); serve-sim counts the query as a cold miss."""
+        cfg = _config_with(tmp_path, dataset={"integrity_rate": 0.5},
+                           pipeline={"drop_integrity": False, "min_interactions": 1})
+        world, train_out, out = tmp_path / "world", tmp_path / "train", tmp_path / "serve"
+        assert main(["gen-data", "--config", str(cfg), "--seed", "2", "--out", str(world)]) == 0
+        assert main(["train", "--config", str(cfg), "--world", str(world),
+                     "--out", str(train_out)]) == 0
+        assert main(["serve-sim", "--config", str(cfg), "--world", str(world),
+                     "--checkpoint", str(train_out / "checkpoint.ckpt"), "--days", "6",
+                     "--queries-per-day", "50", "--out", str(out)]) == 0
+        metrics = RunManifest.load(out / "manifest.json").metrics
+        assert metrics["cold_misses"] > 0
+        lines = (out / "queries.jsonl").read_text().splitlines()
+        assert len(lines) == metrics["queries_served"]
+        assert 43 not in {json.loads(line)["user_id"] for line in lines
+                          if json.loads(line)["ts"] == 11 * 86400}
+
     def test_too_few_surface_rows_names_the_setting(self, tmp_path, world_dir, caplog):
         cfg = _config_with(tmp_path, encoder={"n_surfaces": 1})
         rc = main(["train", "--config", str(cfg), "--world", str(world_dir),
