@@ -183,6 +183,7 @@ def _mha_forward_all_live(x, wq, wk, wv, wo, n_heads, bias):
                  wq=wq, wk=wk, wv=wv, wo=wo, n_heads=n_heads, d_k=d_k)
     return out, cache
 
+
 def _layer_norm_reference(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -256,19 +257,14 @@ class TestForwardBitEquality:
         assert out.tobytes() == ref_out.tobytes()
         assert ffn_backward(cache, d_out)[0].tobytes() == ref_dx.tobytes()
 
-
-class TestCacheFreeAttention:
-    """mha_forward(cache=False), which drops q and k after the scores and
-    projects v after the softmax, returns the all-live form's exact bytes; the
-    cached call keeps every cache entry's bytes."""
-
-    D, L = 64, 33
-
     @pytest.mark.parametrize("b", [64, 256])
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_same_bytes_as_all_live_form(self, b, causal, heads):
-        _, x, valid, ws = TestForwardBitEquality()._batch(b, seed=b + heads)
+    def test_mha_forward_without_cache(self, b, causal, heads):
+        """cache=False drops q and k after the scores and projects v after the
+        softmax: the all-live form's output bytes; the cached call keeps every
+        cache entry's bytes."""
+        _, x, valid, ws = self._batch(b, seed=b + heads)
         bias = attention_bias(valid, causal)
         ref_out, ref_cache = _mha_forward_all_live(x, *ws, heads, bias)
         out, none = mha_forward(x, *ws, heads, bias, cache=False)
