@@ -25,7 +25,9 @@ class EmbeddingSet:
         vectors = np.ascontiguousarray(np.asarray(vectors), dtype=np.float32)
         if vectors.ndim != 2 or ids.shape[0] != vectors.shape[0]:
             raise ValueError("ids and vectors must align: (n,) and (n, dim)")
-        if len(set(ids.tolist())) != len(ids):
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise ValueError("duplicate ids in embedding set")
         if check_norm and len(ids):
             norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
@@ -36,6 +38,7 @@ class EmbeddingSet:
         self.vectors = vectors
         self.version = int(version)
         self._row = {int(i): r for r, i in enumerate(ids.tolist())}
+        self._sorted_ids, self._sorted_rows = sorted_ids, order     # gather's search
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -56,14 +59,21 @@ class EmbeddingSet:
         return self.vectors[row].astype(np.float64)
 
     def gather(self, post_ids) -> np.ndarray:
-        """Float64 matrix of embeddings in the order of post_ids."""
-        rows = np.empty(len(post_ids), dtype=np.int64)
-        for i, pid in enumerate(post_ids):
-            try:
-                rows[i] = self._row[int(pid)]
-            except KeyError:
-                raise KeyError(f"no embedding for post id {pid}") from None
-        return self.vectors[rows].astype(np.float64)
+        """Float64 matrix of embeddings in the order of post_ids; the KeyError
+        for unknown ids names the first one."""
+        want = np.asarray(post_ids)
+        if want.dtype.kind not in "iu":     # [] or Python ints beyond int64: float64
+            want = np.array([int(p) for p in post_ids], dtype=np.uint64)
+        # search in the ids' own uint64: against int64 numpy would compare as float64
+        keys = want.astype(np.uint64)
+        at = np.searchsorted(self._sorted_ids, keys)
+        found = at < len(self._sorted_ids)
+        found[found] = self._sorted_ids[at[found]] == keys[found]
+        if want.dtype.kind == "i":
+            found &= want >= 0      # a negative id must not match its uint64 wrap
+        if not found.all():
+            raise KeyError(f"no embedding for post id {post_ids[int(np.argmin(found))]}")
+        return self.vectors[self._sorted_rows[at]].astype(np.float64)
 
 
 def save_embeddings(path, embs: EmbeddingSet) -> None:

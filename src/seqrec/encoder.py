@@ -10,6 +10,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ __all__ = [
 # embedding coordinates are ~1/sqrt(d); the projection input is prescaled so
 # one week maps to 1.0 and gradients through time_w stay balanced.
 TIME_LOG_SCALE = math.log1p(7 * 86400.0)
+
+# Rows per block of encode_user_vectors' forward, chosen by measurement on the
+# desk config: in an eval loop, 16- to 64-row blocks peaked below the
+# one-thread forward's RSS, while half-chunks peaked above it (a second
+# thread's malloc arena holds a larger block). 32 rows still split
+# batch_hits_eval's 64-sample calls across both threads.
+_BLOCK_ROWS = 32
 
 
 def layer_key(i: int, name: str) -> str:
@@ -140,7 +148,10 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     act_ids[rows, cols] = [int(h.action) for h in items]
     surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
     surf_ids[rows, cols] = [_surface_index(config, surfaces, h.surface) for h in items]
-    rel = np.zeros((B, L))
+    # inputs of the time projection: the post embedding, then the scaled
+    # relative time; pad and CLS cells stay zero
+    tp_in = np.zeros((B, L, d + 1))
+    tp_in[rows, cols, :d] = embeddings.gather([h.post_id for h in items])
     if config.use_time:
         logs = []
         for sample, hist in zip(samples, hists):
@@ -149,11 +160,7 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
                 if delta < 0:
                     raise ValueError(f"user {sample.user_id}: event after cutoff")
                 logs.append(math.log1p(float(delta)))    # np.log1p may round differently
-        rel[rows, cols] = logs
-
-    emb = np.zeros((B, L, d))
-    emb[is_real] = embeddings.gather([h.post_id for h in items])
-    tp_in = np.concatenate([emb, rel[:, :, None] / TIME_LOG_SCALE], axis=2)
+        tp_in[rows, cols, d] = np.array(logs) / TIME_LOG_SCALE
     # ((time projection + position) + action) + surface: float addition is not
     # associative, so this order is part of every token's bytes
     tokens = tp_in @ params["time_w"]
@@ -172,15 +179,22 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
 
 def assembly_backward(asm: BatchAssembly, d_tokens: np.ndarray, grads: dict) -> None:
     """Scatter token gradients into the embedding tables and the time projection."""
-    d_real = np.where(asm.is_real[:, :, None], d_tokens, 0.0)
     flat_mask = asm.is_real.reshape(-1)
-    d_flat = d_real.reshape(-1, d_real.shape[-1])[flat_mask]
+    d_flat = d_tokens.reshape(-1, d_tokens.shape[-1])[flat_mask]
     tp_flat = asm.tp_in.reshape(-1, asm.tp_in.shape[-1])[flat_mask]
     grads["time_w"] += tp_flat.T @ d_flat
     grads["time_b"] += d_flat.sum(axis=0)
-    np.add.at(grads["pos_table"], asm.pos_ids.reshape(-1)[flat_mask], d_flat)
-    np.add.at(grads["action_table"], asm.act_ids.reshape(-1)[flat_mask], d_flat)
-    np.add.at(grads["surface_table"], asm.surf_ids.reshape(-1)[flat_mask], d_flat)
+    # np.add.at's bytes without its per-element loop. Positions are unique
+    # within a row, so one fancy += per row, in row order, adds in add.at's
+    # order. The action and surface grads start at zero and an axis-0 sum
+    # adds its rows in order, so one += of that sum per id does too.
+    for b in range(asm.is_real.shape[0]):
+        real = asm.is_real[b]
+        grads["pos_table"][asm.pos_ids[b, real]] += d_tokens[b, real]
+    for table, ids in (("action_table", asm.act_ids), ("surface_table", asm.surf_ids)):
+        ids = ids.reshape(-1)[flat_mask]
+        for k in np.unique(ids):
+            grads[table][k] += d_flat[ids == k].sum(axis=0)
     if asm.is_cls.any():
         d_cls = d_tokens[asm.is_cls].sum(axis=0)
         grads["cls"] += d_cls
@@ -331,16 +345,47 @@ def encode_sequence(sample, embeddings, params: dict, config: EncoderConfig,
     return hidden[0, :L], user_vec[0]
 
 
+def _row_block(asm: BatchAssembly, lo: int, hi: int) -> BatchAssembly:
+    """Rows lo:hi of an assembly, as views, without tp_in."""
+    return BatchAssembly(tokens=asm.tokens[lo:hi], valid=asm.valid[lo:hi],
+                         lengths=asm.lengths[lo:hi], is_real=asm.is_real[lo:hi],
+                         is_cls=asm.is_cls[lo:hi], pos_ids=asm.pos_ids[lo:hi],
+                         act_ids=asm.act_ids[lo:hi], surf_ids=asm.surf_ids[lo:hi],
+                         tp_in=None)
+
+
 def encode_user_vectors(samples: list, embeddings, params: dict,
                         config: EncoderConfig, surfaces: dict | None = None,
                         chunk: int = 256) -> np.ndarray:
-    """Eval-mode user vectors for many samples, batched for throughput."""
+    """Eval-mode user vectors for many samples, batched for throughput.
+
+    Each chunk is assembled whole, which fixes its padded length. Its forward
+    then runs in blocks of _BLOCK_ROWS rows: the calling thread takes the
+    first half of the blocks and one helper thread, alive only during this
+    call, the rest. At a fixed length every eval-mode op is row-independent,
+    so the vectors are a whole-chunk forward's, bit for bit.
+    """
     out = np.zeros((len(samples), config.d_model))
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
-        asm.tp_in = None            # no backward will read it
-        out[lo:lo + len(part)] = encode_batch(asm, params, config, cache=False)[1]
+
+    def encode_rows(asm: BatchAssembly, base: int, lo: int, hi: int) -> None:
+        for b in range(lo, hi, _BLOCK_ROWS):
+            e = min(b + _BLOCK_ROWS, hi)
+            out[base + b:base + e] = encode_batch(_row_block(asm, b, e), params, config,
+                                                  cache=False)[1]
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for lo in range(0, len(samples), chunk):
+            part = samples[lo:lo + chunk]
+            asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
+            asm.tp_in = None            # no backward will read it
+            n_blocks = -(-len(part) // _BLOCK_ROWS)
+            mid = min(len(part), (n_blocks + 1) // 2 * _BLOCK_ROWS)
+            rest = (helper.submit(encode_rows, asm, lo, mid, len(part))
+                    if mid < len(part) else None)
+            # should this half raise, leaving the with-block still joins the helper
+            encode_rows(asm, lo, 0, mid)
+            if rest is not None:
+                rest.result()
     return out
 
 

@@ -33,6 +33,67 @@ class TestEmbeddingSet:
         np.testing.assert_array_equal(m[1], embs.vector(1))
 
 
+def _dict_loop_gather(embs, post_ids):
+    """Reference: gather as one dict lookup per id."""
+    row = {int(i): r for r, i in enumerate(embs.ids.tolist())}
+    rows = np.empty(len(post_ids), dtype=np.int64)
+    for i, pid in enumerate(post_ids):
+        try:
+            rows[i] = row[int(pid)]
+        except KeyError:
+            raise KeyError(f"no embedding for post id {pid}") from None
+    return embs.vectors[rows].astype(np.float64)
+
+
+class TestGather:
+    """gather's sorted search returns the dict loop's bytes and errors."""
+
+    # unsorted, with two ids that float64 cannot tell apart (2**53, 2**53 + 1)
+    # and one above the int64 range
+    IDS = [40, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 2 ** 53, 12]
+
+    @pytest.fixture
+    def embs(self):
+        vecs = unit_rows(np.random.default_rng(4).standard_normal((len(self.IDS), 6)))
+        return EmbeddingSet(self.IDS, vecs)
+
+    @pytest.mark.parametrize("make", [
+        lambda ids: ids,                                       # python ints
+        lambda ids: [np.int64(i) for i in ids if i < 2 ** 63],
+        lambda ids: np.array([i for i in ids if i < 2 ** 63], dtype=np.int64),
+        lambda ids: np.array(ids, dtype=np.uint64),
+        lambda ids: ids[:0],                                   # empty list
+        lambda ids: np.zeros(0, dtype=np.int64),
+    ])
+    def test_same_bytes_as_dict_loop(self, embs, make):
+        order = [2 ** 53, 7, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 40, 2 ** 53, 12, 12]
+        post_ids = make(order)
+        got, ref = embs.gather(post_ids), _dict_loop_gather(embs, post_ids)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape) == (np.float64, (len(post_ids), 6))
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("post_ids", [
+        [7, 500, 12, 600],
+        np.array([7, 600, 500], dtype=np.int64),
+        np.array([2 ** 53 + 2, 7], dtype=np.uint64),
+        [7, -1, 500],                   # -1 would wrap to 2**64 - 1 as uint64
+        [2 ** 64 - 1],
+        [3],                            # below every id
+    ])
+    def test_missing_names_the_first_missing_id(self, embs, post_ids):
+        with pytest.raises(KeyError) as ref:
+            _dict_loop_gather(embs, post_ids)
+        with pytest.raises(KeyError) as got:
+            embs.gather(post_ids)
+        assert str(got.value) == str(ref.value)
+
+    def test_empty_set(self):
+        empty = EmbeddingSet(np.zeros(0, dtype=np.uint64), np.zeros((0, 4)))
+        assert empty.gather([]).shape == (0, 4)
+        with pytest.raises(KeyError, match="post id 0'"):
+            empty.gather([0])
+
+
 class TestFileFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         embs = random_embeddings(25, 16, seed=3)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from seqrec import encoder
 from seqrec.actions import NULL_ACTION_ID
 from seqrec.configs import EncoderConfig
 from seqrec.encoder import (
@@ -238,6 +240,127 @@ class TestCacheFreeForward:
             h, u = encode_sequence(s, embs, params, cfg, SURFACES)
             assert h.tobytes() == h_ref[0, :int(one.lengths[0])].tobytes()
             assert u.tobytes() == u_ref[0].tobytes()
+
+
+def _one_thread_encode_user_vectors(samples, embeddings, params, config, surfaces, chunk):
+    """Reference: encode_user_vectors as one whole-chunk forward per chunk,
+    on the calling thread."""
+    out = np.zeros((len(samples), config.d_model))
+    for lo in range(0, len(samples), chunk):
+        part = samples[lo:lo + chunk]
+        asm = assemble_batch_inputs(part, embeddings, params, config, surfaces)
+        asm.tp_in = None
+        out[lo:lo + len(part)] = encode_batch(asm, params, config, cache=False)[1]
+    return out
+
+
+class TestRowBlocks:
+    """encode_user_vectors runs each chunk's forward in row blocks on the
+    caller and one helper thread, with the whole-chunk forward's bytes."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("pooling", ["last", "mean", "sum", "attention"])
+    def test_same_bytes_as_one_thread(self, monkeypatch, pooling, causal, n_heads):
+        # 3-row blocks split each 10-row chunk 3+3 | 3+1 (a ragged last block);
+        # 21 samples leave a 1-row last chunk, 23 a 3-row one
+        monkeypatch.setattr(encoder, "_BLOCK_ROWS", 3)
+        embs = random_embeddings(40, 8, seed=9)
+        samples = make_samples(23, (7, 3, 1, 5, 2, 6), 40, seed=5)
+        for use_cls in (True, False):
+            for use_time in (True, False):
+                cfg = EncoderConfig(d_model=8, n_heads=n_heads, n_layers=2, max_seq_len=6,
+                                    dropout=0.0, pooling=pooling, d_ff=16, n_surfaces=2,
+                                    use_cls=use_cls, causal=causal, use_time=use_time)
+                params = init_params(cfg, seed=1)
+                for n in (21, 23):
+                    args = (samples[:n], embs, params, cfg, SURFACES)
+                    got = encode_user_vectors(*args, chunk=10)
+                    ref = _one_thread_encode_user_vectors(*args, chunk=10)
+                    assert got.tobytes() == ref.tobytes(), (use_cls, use_time, n)
+
+    def test_default_blocks_same_bytes(self, setup):
+        """At the module's block size: a 64-row chunk splits 32 | 32 and a
+        36-row one 32 | 4."""
+        cfg, embs, params, _ = setup
+        samples = make_samples(100, (6, 3, 1, 2, 5), 40, seed=8)
+        got = encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=64)
+        ref = _one_thread_encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=64)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_both_threads_work_and_none_outlives_the_call(self, setup, monkeypatch):
+        cfg, embs, params, samples = setup
+        monkeypatch.setattr(encoder, "_BLOCK_ROWS", 1)
+        ran_on = []
+
+        def recording(asm, *args, **kwargs):
+            ran_on.append((threading.get_ident(), len(asm.lengths)))
+            return encode_batch(asm, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "encode_batch", recording)
+        before = threading.active_count()
+        encode_user_vectors(samples, embs, params, cfg, SURFACES)
+        assert threading.active_count() == before
+        assert sorted(n for _, n in ran_on) == [1] * len(samples)
+        assert {ident for ident, _ in ran_on} - {threading.get_ident()}, ran_on
+
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_an_error_in_either_half_propagates(self, setup, monkeypatch, half):
+        cfg, embs, params, samples = setup
+        monkeypatch.setattr(encoder, "_BLOCK_ROWS", 2)
+        caller = threading.get_ident()
+
+        def failing(asm, *args, **kwargs):
+            if (threading.get_ident() == caller) == (half == "caller"):
+                raise FloatingPointError(f"boom in the {half}'s block")
+            return encode_batch(asm, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "encode_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"boom in the {half}'s block"):
+            encode_user_vectors(samples, embs, params, cfg, SURFACES)
+        assert threading.active_count() == before
+
+
+def _add_at_assembly_backward(asm, d_tokens, grads):
+    """Reference: the table scatters as np.add.at calls, one element at a time."""
+    d_real = np.where(asm.is_real[:, :, None], d_tokens, 0.0)
+    flat_mask = asm.is_real.reshape(-1)
+    d_flat = d_real.reshape(-1, d_real.shape[-1])[flat_mask]
+    tp_flat = asm.tp_in.reshape(-1, asm.tp_in.shape[-1])[flat_mask]
+    grads["time_w"] += tp_flat.T @ d_flat
+    grads["time_b"] += d_flat.sum(axis=0)
+    np.add.at(grads["pos_table"], asm.pos_ids.reshape(-1)[flat_mask], d_flat)
+    np.add.at(grads["action_table"], asm.act_ids.reshape(-1)[flat_mask], d_flat)
+    np.add.at(grads["surface_table"], asm.surf_ids.reshape(-1)[flat_mask], d_flat)
+    if asm.is_cls.any():
+        d_cls = d_tokens[asm.is_cls].sum(axis=0)
+        grads["cls"] += d_cls
+        grads["pos_table"][0] += d_cls
+
+
+class TestAssemblyBackwardBitEquality:
+    @pytest.mark.parametrize("use_cls", [True, False])
+    def test_same_bytes_as_add_at(self, setup, use_cls):
+        """Ragged rows with padding, repeated posts, actions and surfaces,
+        and gradients of mixed scale with exact zeros and negative zeros."""
+        cfg, embs, _, _ = setup
+        cfg = dataclasses.replace(cfg, use_cls=use_cls)
+        params = init_params(cfg, seed=2)
+        samples = make_samples(24, (6, 1, 4, 2, 6, 3, 5), 12, seed=11,
+                               surfaces=("feed", "search", "elsewhere"))
+        asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
+        rng = np.random.default_rng(3)
+        shape = asm.tokens.shape
+        d_tokens = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        d_tokens[rng.random(d_tokens.shape) < 0.05] = 0.0
+        d_tokens[rng.random(d_tokens.shape) < 0.05] = -0.0
+        got = {k: np.zeros_like(v) for k, v in params.items()}
+        ref = {k: np.zeros_like(v) for k, v in params.items()}
+        encoder.assembly_backward(asm, d_tokens, got)
+        _add_at_assembly_backward(asm, d_tokens, ref)
+        for k in ref:
+            assert got[k].tobytes() == ref[k].tobytes(), k
 
 
 class TestEncodeSequence:

@@ -16,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from seqrec import encoder
 from seqrec.configs import DatasetConfig, EncoderConfig, LossConfig, TrainConfig
 from seqrec.encoder import encode_sequence, encode_user_vectors, init_params
 from seqrec.pipeline import prepare
@@ -111,15 +112,18 @@ def forward_world():
     return prepare(DATASET, seed=SEED, enc_cfg=FORWARD_ENCODER, eval_holdout_days=2, m=3)
 
 
-def test_eval_forward_identical(forward_world):
+def test_eval_forward_identical(forward_world, monkeypatch):
     samples = forward_world.eval
     lengths = [len(s.history) for s in samples]
     chunk_max = {max(lengths[lo:lo + FORWARD_CHUNK])
                  for lo in range(0, len(lengths), FORWARD_CHUNK)}
     assert len(chunk_max) >= 3, chunk_max
     params = init_params(FORWARD_ENCODER, seed=SEED)
-    vecs = encode_user_vectors(samples, forward_world.embeddings, params, FORWARD_ENCODER,
-                               forward_world.surfaces, chunk=FORWARD_CHUNK)
+    args = (samples, forward_world.embeddings, params, FORWARD_ENCODER, forward_world.surfaces)
+    vecs = encode_user_vectors(*args, chunk=FORWARD_CHUNK)
+    # 4-row blocks split each chunk across the caller and the helper thread
+    monkeypatch.setattr(encoder, "_BLOCK_ROWS", 4)
+    assert encode_user_vectors(*args, chunk=FORWARD_CHUNK).tobytes() == vecs.tobytes()
     hidden, _ = encode_sequence(samples[2], forward_world.embeddings, params,
                                 FORWARD_ENCODER, forward_world.surfaces)
     got = {"user_vectors": _digest(vecs), "sequence_hidden": _digest(hidden)}
