@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -347,11 +347,8 @@ def encode_sequence(sample, embeddings, params: dict, config: EncoderConfig,
 
 def _row_block(asm: BatchAssembly, lo: int, hi: int) -> BatchAssembly:
     """Rows lo:hi of an assembly, as views, without tp_in."""
-    return BatchAssembly(tokens=asm.tokens[lo:hi], valid=asm.valid[lo:hi],
-                         lengths=asm.lengths[lo:hi], is_real=asm.is_real[lo:hi],
-                         is_cls=asm.is_cls[lo:hi], pos_ids=asm.pos_ids[lo:hi],
-                         act_ids=asm.act_ids[lo:hi], surf_ids=asm.surf_ids[lo:hi],
-                         tp_in=None)
+    rows = {f.name: getattr(asm, f.name)[lo:hi] for f in fields(asm) if f.name != "tp_in"}
+    return BatchAssembly(**rows, tp_in=None)
 
 
 def encode_user_vectors(samples: list, embeddings, params: dict,

@@ -48,9 +48,9 @@ def _dict_loop_gather(embs, post_ids):
 class TestGather:
     """gather's sorted search returns the dict loop's bytes and errors."""
 
-    # unsorted, with two ids that float64 cannot tell apart (2**53, 2**53 + 1)
-    # and one above the int64 range
-    IDS = [40, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 2 ** 53, 12]
+    # unsorted, with two ids that float64 cannot tell apart (2**53, 2**53 + 1),
+    # one above the int64 range and the uint64 wrap of -1
+    IDS = [40, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 2 ** 53, 12, 2 ** 64 - 1]
 
     @pytest.fixture
     def embs(self):
@@ -66,18 +66,20 @@ class TestGather:
         lambda ids: np.zeros(0, dtype=np.int64),
     ])
     def test_same_bytes_as_dict_loop(self, embs, make):
-        order = [2 ** 53, 7, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 40, 2 ** 53, 12, 12]
+        order = [2 ** 53, 7, 2 ** 53 + 1, 7, 2 ** 63 + 5, 0, 40, 2 ** 64 - 1, 2 ** 53, 12, 12]
         post_ids = make(order)
         got, ref = embs.gather(post_ids), _dict_loop_gather(embs, post_ids)
-        assert (got.dtype, got.shape) == (ref.dtype, ref.shape) == (np.float64, (len(post_ids), 6))
+        assert got.dtype == ref.dtype == np.float64
+        assert got.shape == ref.shape == (len(post_ids), 6)
         assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("post_ids", [
         [7, 500, 12, 600],
         np.array([7, 600, 500], dtype=np.int64),
         np.array([2 ** 53 + 2, 7], dtype=np.uint64),
-        [7, -1, 500],                   # -1 would wrap to 2**64 - 1 as uint64
-        [2 ** 64 - 1],
+        [7, -1, 500],                   # -1 must not find 2**64 - 1
+        np.array([-1], dtype=np.int64),
+        [2 ** 64 - 2],
         [3],                            # below every id
     ])
     def test_missing_names_the_first_missing_id(self, embs, post_ids):

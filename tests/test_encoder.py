@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -281,10 +282,16 @@ class TestRowBlocks:
 
     def test_default_blocks_same_bytes(self, setup):
         """At the module's block size: a 64-row chunk splits 32 | 32 and a
-        36-row one 32 | 4."""
+        36-row one 32 | 4. A short switch interval interleaves the two
+        threads' Python steps as finely as it can."""
         cfg, embs, params, _ = setup
         samples = make_samples(100, (6, 3, 1, 2, 5), 40, seed=8)
-        got = encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=64)
+        finally:
+            sys.setswitchinterval(interval)
         ref = _one_thread_encode_user_vectors(samples, embs, params, cfg, SURFACES, chunk=64)
         assert got.tobytes() == ref.tobytes()
 
