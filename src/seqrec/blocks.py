@@ -71,23 +71,41 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
-def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias, cache: bool = True):
+def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias, cache: bool = True,
+                rows: np.ndarray | None = None):
     """Multi-head attention: softmax(Q K^T / sqrt(d_k) + bias) V, concat, project.
 
     With cache=False nothing is kept for mha_backward and the cache returned
     is None: q and k go once the scores exist, and v is projected only after
     the softmax, so at most one (B, H, L, L) buffer and two (B, L, d) ones are
     alive beside x. The output bytes are the same either way.
+
+    rows (B,) selects one query position per batch row and needs
+    cache=False: the scaling, bias and softmax run only at those positions,
+    the other attention weights are zero, and the output is the (B, d) rows
+    out[b, rows[b]]. Every matmul keeps its full (B, L, .) shape, so each kept
+    row has the full output's bytes.
     """
+    if rows is not None and cache:
+        raise ValueError("mha_forward: rows needs cache=False")
     d_k = x.shape[-1] // n_heads
     q = _split_heads(x @ wq, n_heads)
     k = _split_heads(x @ wk, n_heads)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     if not cache:
         q = k = None
-    scores /= math.sqrt(d_k)
-    scores += bias
-    attn = masked_softmax(scores)
+    if rows is None:
+        scores /= math.sqrt(d_k)
+        scores += bias
+        attn = masked_softmax(scores)
+    else:
+        at = (np.arange(len(rows)), slice(None), rows)
+        picked = scores[at]             # (B, H, L) query rows, a copy
+        picked /= math.sqrt(d_k)
+        picked += bias[at]
+        scores.fill(0.0)
+        scores[at] = masked_softmax(picked)
+        attn, picked = scores, None
     del scores                      # attn is the same buffer
     v = _split_heads(x @ wv, n_heads)
     ctx = attn @ v
@@ -95,6 +113,8 @@ def mha_forward(x, wq, wk, wv, wo, n_heads: int, bias, cache: bool = True):
         attn = v = None
     ctx = _merge_heads(ctx)
     out = ctx @ wo
+    if rows is not None:
+        return out[np.arange(len(rows)), rows], None
     if not cache:
         return out, None
     return out, dict(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx,

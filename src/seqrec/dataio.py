@@ -101,9 +101,9 @@ def write_posts_jsonl(path, posts: list) -> None:
                 "lang": p.lang,
                 "country": p.country,
                 "integrity": p.integrity_violating,
-                "topic": [float(x) for x in p.topic],
-                "text_channel": [float(x) for x in p.text_channel],
-                "image_channels": [[float(x) for x in img] for img in p.image_channels],
+                "topic": p.topic.tolist(),
+                "text_channel": p.text_channel.tolist(),
+                "image_channels": [img.tolist() for img in p.image_channels],
             }, sort_keys=True) + "\n")
 
 

@@ -105,12 +105,6 @@ class BatchAssembly:
                                    # read only by assembly_backward
 
 
-def _surface_index(config: EncoderConfig, surfaces: dict, name: str | None) -> int:
-    if name is None:
-        return config.n_surfaces
-    return surfaces.get(name, config.n_surfaces)
-
-
 def assemble_batch_inputs(samples: list, embeddings, params: dict, config: EncoderConfig,
                    surfaces: dict | None = None) -> BatchAssembly:
     """Build the (B, L, d) input grid for a list of SequenceSamples.
@@ -147,7 +141,7 @@ def assemble_batch_inputs(samples: list, embeddings, params: dict, config: Encod
     act_ids = np.full((B, L), NULL_ACTION_ID, dtype=np.int64)
     act_ids[rows, cols] = [int(h.action) for h in items]
     surf_ids = np.full((B, L), config.n_surfaces, dtype=np.int64)
-    surf_ids[rows, cols] = [_surface_index(config, surfaces, h.surface) for h in items]
+    surf_ids[rows, cols] = [surfaces.get(h.surface, config.n_surfaces) for h in items]
     # inputs of the time projection: the post embedding, then the scaled
     # relative time; pad and CLS cells stay zero
     tp_in = np.zeros((B, L, d + 1))
@@ -215,29 +209,60 @@ def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
     """
     drop_rng = rng if train else None
     rate = config.dropout if train else 0.0
-    bias = attention_bias(asm.valid, config.causal)
-
     x, in_mask = dropout_forward(asm.tokens, rate, drop_rng)
+    hidden, layer_caches = _layers(x, asm, params, config, rate, drop_rng, cache)
+    pooled, pool_cache = _pool_forward(hidden, asm, params, config)
+    user_vec, norms = l2_normalize(pooled)
+    if not cache:
+        return hidden, user_vec, None
+    return hidden, user_vec, dict(asm=asm, in_mask=in_mask, layers=layer_caches,
+                                  pool=pool_cache, pooled=pooled, user_vec=user_vec,
+                                  norms=norms)
+
+
+def _layers(x, asm: BatchAssembly, params: dict, config: EncoderConfig, rate: float,
+            drop_rng, cache: bool, last_rows: np.ndarray | None = None):
+    """The layer stack over x (B, L, d); returns (hidden, layer caches).
+
+    With last_rows (B,) and cache=False the final layer runs its per-position
+    steps (attention softmax, residual adds, LayerNorms) only at position
+    last_rows[b] of each row b, and hidden is those (B, d) rows. Its matmuls
+    keep their full (B, L, .) operands, zero outside the kept rows, so each
+    kept row has the full forward's bytes.
+    """
+    bias = attention_bias(asm.valid, config.causal)
     layer_caches = []
     for i in range(config.n_layers):
+        # rows kept after this layer's attention: all, or (b, rows[b])
+        rows = last_rows if i == config.n_layers - 1 else None
+        at = None if rows is None else (np.arange(len(rows)), rows)
+        shape = x.shape
         # without backward, a cache or residual input goes once its last reader has run
         attn_out, attn_cache = mha_forward(
             x, params[layer_key(i, "wq")], params[layer_key(i, "wk")],
             params[layer_key(i, "wv")], params[layer_key(i, "wo")],
-            config.n_heads, bias, cache)
+            config.n_heads, bias, cache, rows=rows)
         attn_out, m1 = dropout_forward(attn_out, rate, drop_rng)
-        attn_out += x                   # x + attn_out, bit for bit
+        attn_out += x if at is None else x[at]      # x + attn_out, bit for bit
         x = None
         h1, ln1_cache = layer_norm_forward(
             attn_out, params[layer_key(i, "ln1_g")], params[layer_key(i, "ln1_b")])
         attn_out = None
         if not cache:
             ln1_cache = None
+        if at is None:
+            ffn_in = h1
+        else:                           # the full-shape FFN input, zero off the kept rows
+            ffn_in = np.zeros(shape)
+            ffn_in[at] = h1
         ffn_out, ffn_cache = ffn_forward(
-            h1, params[layer_key(i, "ffn_w1")], params[layer_key(i, "ffn_b1")],
+            ffn_in, params[layer_key(i, "ffn_w1")], params[layer_key(i, "ffn_b1")],
             params[layer_key(i, "ffn_w2")], params[layer_key(i, "ffn_b2")])
+        ffn_in = None
         if not cache:
             ffn_cache = None
+        if at is not None:
+            ffn_out = ffn_out[at]
         ffn_out, m2 = dropout_forward(ffn_out, rate, drop_rng)
         ffn_out += h1                   # h1 + ffn_out, bit for bit
         h1 = None
@@ -247,15 +272,18 @@ def encode_batch(asm: BatchAssembly, params: dict, config: EncoderConfig,
         if cache:
             layer_caches.append((attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache))
         del attn_cache, m1, ln1_cache, ffn_cache, m2, ln2_cache
-    hidden = x
+    return x, layer_caches
 
-    pooled, pool_cache = _pool_forward(hidden, asm, params, config)
-    user_vec, norms = l2_normalize(pooled)
-    if not cache:
-        return hidden, user_vec, None
-    return hidden, user_vec, dict(asm=asm, in_mask=in_mask, layers=layer_caches,
-                                  pool=pool_cache, pooled=pooled, user_vec=user_vec,
-                                  norms=norms)
+
+def _user_vectors(asm: BatchAssembly, params: dict, config: EncoderConfig) -> np.ndarray:
+    """Eval-mode user vectors (B, d) of an assembly: encode_batch(cache=False)'s
+    bytes. Last-position pooling reads one final-layer row per sequence, so
+    that layer computes only those rows; other poolings run encode_batch."""
+    if config.pooling != "last":
+        return encode_batch(asm, params, config, cache=False)[1]
+    pooled, _ = _layers(asm.tokens, asm, params, config, 0.0, None, False,
+                        last_rows=asm.lengths - 1)
+    return l2_normalize(pooled)[0]
 
 
 def _pool_forward(hidden, asm: BatchAssembly, params, config: EncoderConfig):
@@ -360,15 +388,15 @@ def encode_user_vectors(samples: list, embeddings, params: dict,
     then runs in blocks of _BLOCK_ROWS rows: the calling thread takes the
     first half of the blocks and one helper thread, alive only during this
     call, the rest. At a fixed length every eval-mode op is row-independent,
-    so the vectors are a whole-chunk forward's, bit for bit.
+    so the vectors are a whole-chunk forward's, bit for bit. With "last"
+    pooling the final layer computes only each row's last position.
     """
     out = np.zeros((len(samples), config.d_model))
 
     def encode_rows(asm: BatchAssembly, base: int, lo: int, hi: int) -> None:
         for b in range(lo, hi, _BLOCK_ROWS):
             e = min(b + _BLOCK_ROWS, hi)
-            out[base + b:base + e] = encode_batch(_row_block(asm, b, e), params, config,
-                                                  cache=False)[1]
+            out[base + b:base + e] = _user_vectors(_row_block(asm, b, e), params, config)
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         for lo in range(0, len(samples), chunk):

@@ -275,3 +275,23 @@ class TestForwardBitEquality:
         assert cache.keys() == ref_cache.keys()
         for name in ("x", "q", "k", "v", "attn", "ctx"):
             assert cache[name].tobytes() == ref_cache[name].tobytes(), name
+
+    @pytest.mark.parametrize("b", [64, 256])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_mha_forward_query_rows(self, b, causal, heads):
+        """rows=: one query position per batch row, the full output's rows
+        byte for byte, at the last valid position and at a random valid one."""
+        rng, x, valid, ws = self._batch(b, seed=b + 10 * heads)
+        bias = attention_bias(valid, causal)
+        full, _ = mha_forward(x, *ws, heads, bias, cache=False)
+        lengths = valid.sum(axis=1)
+        for rows in (lengths - 1, rng.integers(0, lengths)):
+            out, none = mha_forward(x, *ws, heads, bias, cache=False, rows=rows)
+            assert none is None and out.shape == (b, self.D)
+            assert out.tobytes() == full[np.arange(b), rows].tobytes()
+
+    def test_mha_forward_query_rows_need_cache_off(self):
+        _, x, valid, ws = self._batch(4, seed=1)
+        with pytest.raises(ValueError, match="cache=False"):
+            mha_forward(x, *ws, 2, attention_bias(valid, True), rows=np.zeros(4, np.int64))

@@ -9,6 +9,9 @@ import pytest
 
 from seqrec import encoder
 from seqrec.actions import NULL_ACTION_ID
+from seqrec.blocks import (
+    attention_bias, ffn_forward, l2_normalize, layer_norm_forward, mha_forward,
+)
 from seqrec.configs import EncoderConfig
 from seqrec.encoder import (
     TIME_LOG_SCALE, BatchAssembly, assemble_batch_inputs, encode_batch, encode_sequence,
@@ -298,13 +301,14 @@ class TestRowBlocks:
     def test_both_threads_work_and_none_outlives_the_call(self, setup, monkeypatch):
         cfg, embs, params, samples = setup
         monkeypatch.setattr(encoder, "_BLOCK_ROWS", 1)
+        user_vectors = encoder._user_vectors
         ran_on = []
 
         def recording(asm, *args, **kwargs):
             ran_on.append((threading.get_ident(), len(asm.lengths)))
-            return encode_batch(asm, *args, **kwargs)
+            return user_vectors(asm, *args, **kwargs)
 
-        monkeypatch.setattr(encoder, "encode_batch", recording)
+        monkeypatch.setattr(encoder, "_user_vectors", recording)
         before = threading.active_count()
         encode_user_vectors(samples, embs, params, cfg, SURFACES)
         assert threading.active_count() == before
@@ -315,18 +319,81 @@ class TestRowBlocks:
     def test_an_error_in_either_half_propagates(self, setup, monkeypatch, half):
         cfg, embs, params, samples = setup
         monkeypatch.setattr(encoder, "_BLOCK_ROWS", 2)
+        user_vectors = encoder._user_vectors
         caller = threading.get_ident()
 
         def failing(asm, *args, **kwargs):
             if (threading.get_ident() == caller) == (half == "caller"):
                 raise FloatingPointError(f"boom in the {half}'s block")
-            return encode_batch(asm, *args, **kwargs)
+            return user_vectors(asm, *args, **kwargs)
 
-        monkeypatch.setattr(encoder, "encode_batch", failing)
+        monkeypatch.setattr(encoder, "_user_vectors", failing)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match=f"boom in the {half}'s block"):
             encode_user_vectors(samples, embs, params, cfg, SURFACES)
         assert threading.active_count() == before
+
+
+def _full_forward_user_vectors(asm, params, config):
+    """Reference: encode_batch(cache=False)[1] with last-position pooling as
+    it ran before the final layer kept only the pooled rows: every layer at
+    every position, then the pooled rows of the hidden state, L2-normalized."""
+    bias = attention_bias(asm.valid, config.causal)
+    x = asm.tokens
+    for i in range(config.n_layers):
+        p = {name: params[encoder.layer_key(i, name)] for name in (
+            "wq", "wk", "wv", "wo", "ln1_g", "ln1_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+            "ln2_g", "ln2_b")}
+        attn_out, _ = mha_forward(x, p["wq"], p["wk"], p["wv"], p["wo"], config.n_heads,
+                                  bias, False)
+        attn_out += x
+        h1, _ = layer_norm_forward(attn_out, p["ln1_g"], p["ln1_b"])
+        ffn_out, _ = ffn_forward(h1, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
+        ffn_out += h1
+        x, _ = layer_norm_forward(ffn_out, p["ln2_g"], p["ln2_b"])
+    pooled = x[np.arange(x.shape[0]), asm.lengths - 1]
+    return l2_normalize(pooled)[0]
+
+
+class TestUserVectorForward:
+    """_user_vectors, the forward behind encode_user_vectors' row blocks,
+    computes the final layer only at the pooled positions with the
+    all-position forward's bytes."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_same_bytes_as_full_forward(self, causal, n_heads, n_layers):
+        embs = random_embeddings(40, 8, seed=9)
+        # ragged lengths, one history past max_seq_len and two empty ones
+        ragged = make_samples(9, (7, 3, 0, 1, 5, 2, 6, 0, 4), 40, seed=5)
+        for use_cls in (True, False):
+            for use_time in (True, False):
+                cfg = EncoderConfig(d_model=8, n_heads=n_heads, n_layers=n_layers,
+                                    max_seq_len=6, dropout=0.0, pooling="last", d_ff=16,
+                                    n_surfaces=2, use_cls=use_cls, causal=causal,
+                                    use_time=use_time)
+                params = init_params(cfg, seed=n_layers)
+                # with CLS, the empty histories are CLS-only rows, and the
+                # one-position block is all CLS
+                blocks = {"ragged": [s for s in ragged if use_cls or s.history],
+                          "one position": make_samples(3, (0,) if use_cls else (1,), 40,
+                                                       seed=2)}
+                for name, samples in blocks.items():
+                    asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
+                    ref = _full_forward_user_vectors(asm, params, cfg)
+                    assert ref.tobytes() == encode_batch(asm, params, cfg, cache=False)[1].tobytes()
+                    got = encoder._user_vectors(asm, params, cfg)
+                    assert got.tobytes() == ref.tobytes(), (name, use_cls, use_time)
+
+    @pytest.mark.parametrize("pooling", ["mean", "sum", "attention"])
+    def test_other_poolings_run_encode_batch(self, setup, pooling):
+        cfg, embs, _, samples = setup
+        cfg = dataclasses.replace(cfg, pooling=pooling)
+        params = init_params(cfg, seed=1)
+        asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
+        ref = encode_batch(asm, params, cfg, cache=False)[1]
+        assert encoder._user_vectors(asm, params, cfg).tobytes() == ref.tobytes()
 
 
 def _add_at_assembly_backward(asm, d_tokens, grads):
