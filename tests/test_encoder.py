@@ -386,15 +386,6 @@ class TestUserVectorForward:
                     got = encoder._user_vectors(asm, params, cfg)
                     assert got.tobytes() == ref.tobytes(), (name, use_cls, use_time)
 
-    @pytest.mark.parametrize("pooling", ["mean", "sum", "attention"])
-    def test_other_poolings_run_encode_batch(self, setup, pooling):
-        cfg, embs, _, samples = setup
-        cfg = dataclasses.replace(cfg, pooling=pooling)
-        params = init_params(cfg, seed=1)
-        asm = assemble_batch_inputs(samples, embs, params, cfg, SURFACES)
-        ref = encode_batch(asm, params, cfg, cache=False)[1]
-        assert encoder._user_vectors(asm, params, cfg).tobytes() == ref.tobytes()
-
 
 def _add_at_assembly_backward(asm, d_tokens, grads):
     """Reference: the table scatters as np.add.at calls, one element at a time."""
