@@ -33,7 +33,7 @@ from .post_encoder import (
 )
 from .serving import ColdUserError, ServingSim
 from .tensorio import save_tensors
-from .trainer import UserTower, batch_hits_eval, train
+from .trainer import UserTower, batch_hits_eval, train, usable_samples
 from .world import SECONDS_PER_DAY, generate_world
 
 log = logging.getLogger("seqrec")
@@ -179,14 +179,10 @@ def run_eval(resolved: dict, out: Path, args):
                                  resolved["train"]["batch_size"])
     days = data.holdout_days
     corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, days[0], days[-1])
-    usable = [s for s in data.eval if s.long_targets and
-              (s.history or tower.enc_cfg.use_cls)]
+    usable = usable_samples(data.eval, tower.enc_cfg.use_cls)
     user_vecs = tower.eval_user_vectors(usable, data.embeddings)
-    # With the integrity filter off, flagged posts stay targets but are never
-    # served; a query left with no servable target counts as a miss.
-    alive = set(corpus_ids)
-    targets = [[t for t in s.long_targets if t in alive] for s in usable]
-    knn = knn_hits_at_k(user_vecs, targets, corpus_ids, corpus_vecs, args.k)
+    knn = knn_hits_at_k(user_vecs, [s.long_targets for s in usable],
+                        corpus_ids, corpus_vecs, args.k)
     knn.slice = {"corpus": len(corpus_ids)}
     reports_to_json([knn], out / "eval_report.json")
     metrics = {"batch_hits1": h1, "batch_hits10": h10, "batch_n": n,

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .configs import DECAY_VARIANTS, SWEEP_VARIANT, EncoderConfig, LossConfig, TrainConfig
-from .metrics import EvalReport, top_k_columns
+from .metrics import EvalReport, knn_hits_at_k, seen_cells
 from .pipeline import PipelineData, alive_corpus
 from .samples import SequenceSample, collect_targets, events_by_user, history_before
 from .trainer import UserTower, train
@@ -19,38 +19,6 @@ log = logging.getLogger(__name__)
 
 # sweep axis -> the EncoderConfig field it sets
 SWEEP_AXES = {"seq_len": "max_seq_len", "layers": "n_layers"}
-
-
-def _seen_cells(seen_sets: list, corpus_ids: np.ndarray):
-    """(rows, columns) of the score cells _knn_hits_excluding_seen hides: row r's
-    seen posts that are in the corpus. Posts outside the corpus are skipped."""
-    rows = np.repeat(np.arange(len(seen_sets)), [len(seen) for seen in seen_sets])
-    ids = np.fromiter((pid for seen in seen_sets for pid in seen), dtype=np.int64,
-                      count=rows.size)
-    order = np.argsort(corpus_ids, kind="stable")
-    at = np.searchsorted(corpus_ids, ids, sorter=order)
-    found = at < corpus_ids.size
-    found[found] = corpus_ids[order[at[found]]] == ids[found]
-    return rows[found], order[at[found]]
-
-
-def _knn_hits_excluding_seen(user_vecs: np.ndarray, target_sets: list,
-                             seen_cells: tuple, corpus_ids: np.ndarray,
-                             corpus_vecs: np.ndarray, k: int):
-    """KNN Hits@k where each user's already-engaged posts cannot be retrieved.
-
-    seen_cells is _seen_cells(seen_sets, corpus_ids), built once for every
-    call that ranks the same users against the same corpus. A user cannot
-    re-engage a post, so serving never shows consumed items; without this
-    filter the freshest embeddings are crowded out of the top K by the very
-    posts they were computed from.
-    """
-    scores = user_vecs @ corpus_vecs.T
-    scores[seen_cells] = -np.inf
-    top = corpus_ids[top_k_columns(scores, corpus_ids, k)]
-    hits = sum(1 for targets, row in zip(target_sets, top)
-               if set(targets) & set(row.tolist()))
-    return EvalReport(metric="knn_hits", k=k, hits=hits, n_queries=len(target_sets))
 
 
 def staleness_experiment(tower: UserTower, data: PipelineData,
@@ -79,8 +47,8 @@ def staleness_experiment(tower: UserTower, data: PipelineData,
     # posts consumed before the holdout can never be served again; the seen set
     # uses the full pre-holdout stream so the candidate pool is identical for
     # every staleness level
-    seen_cells = _seen_cells([{e.post_id for e in per_user[uid]
-                               if e.ts < data.holdout_start_ts} for uid in users], corpus_ids)
+    seen = seen_cells([{e.post_id for e in per_user[uid]
+                        if e.ts < data.holdout_start_ts} for uid in users], corpus_ids)
     max_len = tower.enc_cfg.max_seq_len
     reports = []
     base_value = None
@@ -89,8 +57,8 @@ def staleness_experiment(tower: UserTower, data: PipelineData,
         samples = [SequenceSample(uid, history_before(per_user[uid], cutoff_ts, max_len),
                                   [], cutoff_ts) for uid in users]
         user_vecs = tower.eval_user_vectors(samples, data.embeddings)
-        rep = _knn_hits_excluding_seen(user_vecs, [targets[uid] for uid in users],
-                                       seen_cells, corpus_ids, corpus_vecs, k)
+        rep = knn_hits_at_k(user_vecs, [targets[uid] for uid in users],
+                            corpus_ids, corpus_vecs, k, seen)
         if d == 0:
             base_value = rep.value
         drop = 0.0 if base_value in (None, 0.0) else (base_value - rep.value) / base_value
@@ -148,11 +116,9 @@ def temporal_decay_experiment(data: PipelineData, enc_cfg: EncoderConfig,
                 cache_vec.update(zip(missing, vecs))
             corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, day, day)
             corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
-            rep = _knn_hits_excluding_seen(
-                np.stack([cache_vec[u] for u in users]),
-                [per_day[u] for u in users],
-                _seen_cells([seen_all[u] for u in users], corpus_ids),
-                corpus_ids, corpus_vecs, k)
+            rep = knn_hits_at_k(np.stack([cache_vec[u] for u in users]),
+                                [per_day[u] for u in users], corpus_ids, corpus_vecs, k,
+                                seen_cells([seen_all[u] for u in users], corpus_ids))
             rep.slice = {"eval_day_offset": h + 1, "variant": label}
             reports.append(rep)
         first, last = reports[0].value, reports[-1].value
@@ -206,8 +172,7 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
     corpus_ids, corpus_vecs = alive_corpus(data.posts, data.embeddings, days[0], days[-1])
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     # every policy keeps the real history, so all share one seen set per user
-    seen_cells = _seen_cells([{h.post_id for h in real_hist[u]} for u in slice_users],
-                             corpus_ids)
+    seen = seen_cells([{h.post_id for h in real_hist[u]} for u in slice_users], corpus_ids)
 
     out = {}
     for mode in policy_modes:
@@ -220,8 +185,8 @@ def coldstart_eval(data: PipelineData, tower: UserTower,
             samples.append(SequenceSample(uid, hist[-tower.enc_cfg.max_seq_len:],
                                           [], cutoff))
         user_vecs = tower.eval_user_vectors(samples, data.embeddings)
-        rep = _knn_hits_excluding_seen(user_vecs, [targets[u] for u in slice_users],
-                                       seen_cells, corpus_ids, corpus_vecs, k)
+        rep = knn_hits_at_k(user_vecs, [targets[u] for u in slice_users],
+                            corpus_ids, corpus_vecs, k, seen)
         rep.slice = {"policy": mode, "slice_users": len(slice_users)}
         out[mode] = rep
     return out

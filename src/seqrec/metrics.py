@@ -2,12 +2,15 @@
 
 Reported values are always the exact ratio hits/n_queries; the integer counts
 travel with every report so downstream aggregation never accumulates float
-error. Ties are broken optimistically for the true item in the batch metric;
-every offline corpus ranking (KNN, the experiments) is `top_k_columns`, the
-(-score, ascending post id) total order that serving retrieve also keeps. It
-partitions each row at its k-th score and sorts only the head, widening the
-head to the whole tie group where one straddles the k-th place, so it keeps
-the rows a full sort would.
+error. Ties are broken optimistically for the true item in the batch metric.
+`knn_hits_at_k` is the one offline KNN hit counter: eval and every experiment
+count through it, the experiments hiding each user's consumed posts with
+`seen_cells`. A target outside the corpus can never be ranked, so it counts as
+absent, and a query left with no target in the corpus is a miss. Every offline
+corpus ranking is `top_k_columns`, the (-score, ascending post id) total order
+that serving retrieve also keeps. It partitions each row at its k-th score and
+sorts only the head, widening the head to the whole tie group where one
+straddles the k-th place, so it keeps the rows a full sort would.
 """
 from __future__ import annotations
 
@@ -98,21 +101,39 @@ def knn_top_ids(query_vec: np.ndarray, corpus_ids: np.ndarray,
     return corpus_ids[top_k_columns(scores[None, :], corpus_ids, k)[0]]
 
 
+def seen_cells(seen_sets: list, corpus_ids: np.ndarray):
+    """(rows, columns) of the score cells knn_hits_at_k hides: row r's seen
+    posts that are in the corpus. Posts outside the corpus are skipped."""
+    rows = np.repeat(np.arange(len(seen_sets)), [len(seen) for seen in seen_sets])
+    ids = np.fromiter((pid for seen in seen_sets for pid in seen), dtype=np.int64,
+                      count=rows.size)
+    order = np.argsort(corpus_ids, kind="stable")
+    at = np.searchsorted(corpus_ids, ids, sorter=order)
+    found = at < corpus_ids.size
+    found[found] = corpus_ids[order[at[found]]] == ids[found]
+    return rows[found], order[at[found]]
+
+
 def knn_hits_at_k(user_vecs: np.ndarray, target_id_sets: list,
-                  corpus_ids, corpus_vecs: np.ndarray, k: int) -> EvalReport:
+                  corpus_ids, corpus_vecs: np.ndarray, k: int,
+                  seen: tuple | None = None) -> EvalReport:
     """Per-user exact brute-force KNN over the corpus; hit iff any target id
-    lands in the top k. Every target id must exist in the corpus."""
+    lands in the top k. Targets outside the corpus are absent: with the
+    integrity filter off, flagged posts stay targets but are never served.
+
+    seen, when given, is seen_cells(seen_sets, corpus_ids), built once for all
+    calls that rank the same users against the same corpus. A user cannot
+    re-engage a post, so serving never shows consumed items; hiding them keeps
+    the freshest embeddings from being crowded out of the top k by the very
+    posts they were computed from.
+    """
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
-    target_id_sets = [{int(t) for t in targets} for targets in target_id_sets]
-    missing = set().union(*target_id_sets) - set(corpus_ids.tolist())
-    if missing:
-        raise KeyError(f"targets missing from corpus: {sorted(missing)}")
-    scores = np.empty((len(target_id_sets), len(corpus_ids)))
-    for row in range(len(scores)):
-        scores[row] = corpus_vecs @ user_vecs[row]    # knn_top_ids' scores, bit for bit
-    top = corpus_ids[top_k_columns(scores, corpus_ids, k)]
+    scores = user_vecs @ corpus_vecs.T
+    if seen is not None:
+        scores[seen] = -np.inf
+    top = corpus_ids[top_k_columns(scores, corpus_ids, k)].tolist()
     hits = sum(1 for targets, row in zip(target_id_sets, top)
-               if targets & set(row.tolist()))
+               if not set(targets).isdisjoint(row))
     return EvalReport(metric="knn_hits", k=k, hits=hits, n_queries=len(target_id_sets))
 
 

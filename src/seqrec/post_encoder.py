@@ -248,8 +248,9 @@ def _pair_loss_and_grads(params: dict, cfg: PostTowerConfig,
     scores = s * (left @ right.T)                                             # (B, B)
     shifted = scores - scores.max(axis=1, keepdims=True)
     p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(np.sum(np.exp(shifted), axis=1)) - shifted[np.arange(b), np.arange(b)]))
+    z = p.sum(axis=1)
+    loss = float(np.mean(np.log(z) - shifted[np.arange(b), np.arange(b)]))
+    p /= z[:, None]
     d_scores = (p - np.eye(b)) / b
     d_left = s * (d_scores @ right)
     d_right = s * (d_scores.T @ left)

@@ -230,11 +230,16 @@ def train_step(tower: UserTower, opt: Adam, batch: list, embeddings,
             "grad_norm": pre_norm, "clipped_norm": clipped}
 
 
+def usable_samples(samples: list, use_cls: bool) -> list:
+    """The samples a tower can train on or score: each has a long-term target
+    and something to pool, a history or the CLS token."""
+    return [s for s in samples if s.long_targets and (len(s.history) > 0 or use_cls)]
+
+
 def batch_hits_eval(tower: UserTower, eval_samples: list, embeddings,
                     batch_size: int) -> tuple[float, float, int]:
     """In-batch Hits@1/@10 over the eval set, positives on the diagonal."""
-    usable = [s for s in eval_samples if s.long_targets and
-              (len(s.history) > 0 or tower.enc_cfg.use_cls)]
+    usable = usable_samples(eval_samples, tower.enc_cfg.use_cls)
     hits1 = hits10 = total = 0
     for lo in range(0, len(usable) - batch_size + 1, batch_size):
         chunk = usable[lo:lo + batch_size]
@@ -263,8 +268,7 @@ def train(train_samples: list, eval_samples: list, embeddings,
             f"{train_cfg.variant} stands in for an id-feature wide-and-deep baseline, "
             "which cannot be built from content embeddings alone")
 
-    usable = [s for s in train_samples
-              if s.long_targets and (len(s.history) > 0 or enc_cfg.use_cls)]
+    usable = usable_samples(train_samples, enc_cfg.use_cls)
     if kind == "baseline":
         params = init_baseline_params(embeddings.dim, train_cfg.seed)
     else:

@@ -176,8 +176,13 @@ class TestBatchedGather:
             assemble_batch_inputs(samples + [s], embs, params, cfg, SURFACES)
 
 
-def test_encode_user_vectors_keeps_one_chunk_alive():
-    """Encoding a second chunk must not hold the first chunk's forward cache."""
+def test_encode_user_vectors_keeps_one_chunk_alive(monkeypatch):
+    """Encoding a second chunk must not hold the first chunk's forward cache.
+
+    With blocks as large as a chunk, each chunk is one block on the calling
+    thread, so the peak does not depend on whether two threads' blocks happen
+    to peak together; TestRowBlocks covers the threaded path's bytes."""
+    monkeypatch.setattr(encoder, "_BLOCK_ROWS", 64)
     cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, max_seq_len=16,
                         dropout=0.0, pooling="last", d_ff=32, n_surfaces=2)
     embs = random_embeddings(80, 16, seed=4)

@@ -233,13 +233,13 @@ class _Recorder:
     def __init__(self, monkeypatch, tower):
         self.encoded, self.ranked, self.corpora, self.cells = [], [], [], []
         monkeypatch.setattr(tower, "eval_user_vectors", self._encode)
-        monkeypatch.setattr(experiments, "_knn_hits_excluding_seen", self._rank)
+        monkeypatch.setattr(experiments, "knn_hits_at_k", self._rank)
 
     def _encode(self, samples, embeddings):
         self.encoded.append([(s.user_id, s.history, s.cutoff_time) for s in samples])
         return np.zeros((len(samples), embeddings.dim))
 
-    def _rank(self, user_vecs, target_sets, seen_cells, corpus_ids, corpus_vecs, k):
+    def _rank(self, user_vecs, target_sets, corpus_ids, corpus_vecs, k, seen_cells):
         hidden = [set() for _ in target_sets]
         for row, col in zip(*seen_cells):
             hidden[row].add(int(corpus_ids[col]))

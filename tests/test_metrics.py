@@ -100,10 +100,13 @@ class TestKnnHits:
                             np.arange(20), corpus, 20)
         assert rep.value == 1.0
 
-    def test_missing_target_raises(self):
+    def test_target_outside_the_corpus_never_hits(self):
+        """A target that is not in the corpus can never be ranked: it is
+        absent, and a query whose targets are all absent is a miss that still
+        counts in n_queries."""
         vecs = unit_rows(np.random.default_rng(0).standard_normal((3, 4)))
-        with pytest.raises(KeyError, match="999"):
-            knn_hits_at_k(vecs, [[999]], np.arange(3), vecs, 1)
+        rep = knn_hits_at_k(vecs, [[999, 0], [999], []], np.arange(3), vecs, 3)
+        assert (rep.hits, rep.n_queries) == (1, 3)
 
     def test_agrees_with_full_sort_oracle_100_queries(self):
         rng = np.random.default_rng(5)

@@ -13,8 +13,7 @@ import pytest
 
 from seqrec.configs import DatasetConfig, EncoderConfig
 from seqrec.encoder import init_params
-from seqrec.experiments import _knn_hits_excluding_seen, _seen_cells
-from seqrec.metrics import knn_hits_at_k, knn_top_ids, top_k_columns
+from seqrec.metrics import knn_hits_at_k, knn_top_ids, seen_cells, top_k_columns
 from seqrec.pipeline import alive_corpus
 from seqrec.post_encoder import PostEncoder
 from seqrec.serving import ServingSim
@@ -161,8 +160,8 @@ class TestTopKColumns:
 
 
 class TestOfflineBitEquality:
-    """knn_top_ids, knn_hits_at_k and _knn_hits_excluding_seen on the shared
-    ranking return the old forms' exact outputs."""
+    """knn_top_ids and knn_hits_at_k, with and without seen cells, on the
+    shared ranking return the old forms' exact outputs."""
 
     KS = (1, 2, 3, 9, 10, 11, 24, 47, 48, 60)
 
@@ -213,13 +212,15 @@ class TestOfflineBitEquality:
         return queries, targets, seen, ids, vecs
 
     def test_excluding_seen_ties_and_absent_seen_ids(self):
+        """With no seen cells the scores are still one Q @ C.T: the reference
+        with nothing hidden, the form of the benchmark's batched reference."""
         queries, targets, seen, ids, vecs = self._seen_case(seed=3)
         assert any(s - set(ids.tolist()) for s in seen)
-        for k in self.KS:
-            rep = _knn_hits_excluding_seen(queries, targets, _seen_cells(seen, ids),
-                                           ids, vecs, k)
-            assert rep.hits == _excluding_seen_reference(queries, targets, seen,
-                                                         ids, vecs, k)
+        for hidden, cells in ((seen, seen_cells(seen, ids)), ([set()] * len(seen), None)):
+            for k in self.KS:
+                rep = knn_hits_at_k(queries, targets, ids, vecs, k, cells)
+                assert rep.hits == _excluding_seen_reference(queries, targets, hidden,
+                                                             ids, vecs, k)
 
     def test_excluding_seen_k_beyond_unseen(self):
         """k above a row's unseen count reaches into its -inf (seen) columns,
@@ -228,16 +229,14 @@ class TestOfflineBitEquality:
         seen = [s | set(ids[:30].tolist()) for s in seen]
         targets = [t + sorted(s & set(ids.tolist()))[:1] for t, s in zip(targets, seen)]
         for k in (11, 12, 20, 35, 39, 40, 41):
-            rep = _knn_hits_excluding_seen(queries, targets, _seen_cells(seen, ids),
-                                           ids, vecs, k)
+            rep = knn_hits_at_k(queries, targets, ids, vecs, k, seen_cells(seen, ids))
             assert rep.hits == _excluding_seen_reference(queries, targets, seen,
                                                          ids, vecs, k)
 
     def test_excluding_seen_empty_corpus(self):
         empty = np.zeros(0, dtype=np.int64)
-        rep = _knn_hits_excluding_seen(np.ones((2, 6)), [[1], [2]],
-                                       _seen_cells([{1}, set()], empty), empty,
-                                       np.zeros((0, 6)), 5)
+        rep = knn_hits_at_k(np.ones((2, 6)), [[1], [2]], empty, np.zeros((0, 6)), 5,
+                            seen_cells([{1}, set()], empty))
         assert (rep.hits, rep.n_queries) == (0, 2)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -250,9 +249,9 @@ class TestOfflineBitEquality:
         col = {int(pid): i for i, pid in enumerate(ids)}
         old = {(row, col[int(pid)]) for row, s in enumerate(seen)
                for pid in s if int(pid) in col}
-        rows, cols = _seen_cells(seen, ids)
+        rows, cols = seen_cells(seen, ids)
         assert len(old) == rows.size and set(zip(rows.tolist(), cols.tolist())) == old
-        rows, cols = _seen_cells(seen, np.zeros(0, dtype=np.int64))
+        rows, cols = seen_cells(seen, np.zeros(0, dtype=np.int64))
         assert rows.size == cols.size == 0
 
 
